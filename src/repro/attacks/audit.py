@@ -70,6 +70,7 @@ from repro.core.cluster_weights import (
     cluster_item_averages,
 )
 from repro.core.private import covering_clustering, louvain_strategy
+from repro.core.profile import cluster_profile, profile_kernel
 from repro.datasets.dataset import SocialRecDataset
 from repro.exceptions import ExperimentError
 from repro.obs.ledger import PrivacyLedgerView
@@ -77,7 +78,7 @@ from repro.obs.registry import Telemetry, get_telemetry
 from repro.obs.registry import incr as obs_incr
 from repro.obs.registry import telemetry as obs_telemetry
 from repro.obs.spans import span
-from repro.similarity.base import SimilarityCache, get_measure
+from repro.similarity.base import get_measure
 from repro.types import ItemId, UserId
 
 __all__ = [
@@ -283,41 +284,6 @@ def _choose_attacked_edge(
     if not preferences.has_edge(victim, item):
         raise ExperimentError(f"edge ({victim!r}, {item!r}) not in the dataset")
     return victim, item
-
-
-def _observer_cluster_vector(
-    measure_name: str,
-    attacked_graph,
-    observer: UserId,
-    clustering,
-    backend: str,
-    store,
-) -> np.ndarray:
-    """``sim_sum(observer, c)`` per cluster, backend-independent.
-
-    Accumulates the observer's similarity row in a sorted user order so
-    python and vectorized rows (bit-identical for CN/GD/KZ) sum in the
-    same sequence — extending the backend-equivalence contract to the
-    attack scoring path.
-    """
-    measure = get_measure(measure_name)
-    cache = SimilarityCache(measure, attacked_graph, backend=backend)
-    if store is not None and backend != "python":
-        from repro.compute.kernels import build_kernel, supports_vectorized_kernel
-
-        if supports_vectorized_kernel(measure):
-            lookup = store.get_or_compute(
-                attacked_graph,
-                measure,
-                lambda: build_kernel(attacked_graph, measure, backend=backend),
-            )
-            cache.adopt_kernel(lookup.matrix)
-    vector = np.zeros(clustering.num_clusters)
-    row = cache.row(observer)
-    for user, score in sorted(row.items(), key=lambda kv: repr(kv[0])):
-        if user in clustering:
-            vector[clustering.cluster_of(user)] += score
-    return vector
 
 
 def _fit_deployed_target(
@@ -534,9 +500,15 @@ def run_privacy_audit(
                 unit_laplace_draws(stream_without, trials),
                 unit_laplace_draws(stream_with, trials),
             )
-            sim_vector = _observer_cluster_vector(
-                measure_name, attacked_graph, observer, clustering, backend, store
+            # The observer's profile row; the store is skipped under the
+            # python backend so its kernel is never a vectorised one.
+            kernel = profile_kernel(
+                attacked_graph,
+                get_measure(measure_name),
+                store=store if backend != "python" else None,
+                backend=backend,
             )
+            sim_vector = cluster_profile(kernel, clustering).row(observer)
             repeat_streams = recon_root.spawn(len(epsilons) * repeats)
             for target in targets:
                 for eps_index, epsilon in enumerate(epsilons):

@@ -33,7 +33,35 @@ __all__ = [
     "FittedState",
     "NotFittedError",
     "top_n_from_vector",
+    "top_n_positions",
 ]
+
+
+def top_n_positions(estimates: np.ndarray, limit: int) -> np.ndarray:
+    """Top-``limit`` item positions per row of a 2-D estimate block.
+
+    The one top-N selector: ``np.argpartition`` picks each row's top set,
+    then a stable sort orders it by (estimate descending, item position
+    ascending).  The tie-break by position holds *within* the selected
+    set only: when several items tie at the cutoff score, which of them
+    make the cut is ``np.argpartition``'s choice.  That choice is a
+    deterministic function of the row's values, so every consumer
+    scoring the same row (per request, batch, sweep engine) agrees
+    exactly on the ranking.
+    """
+    num_rows, num_items = estimates.shape
+    limit = min(limit, num_items)
+    if limit <= 0:
+        return np.empty((num_rows, 0), dtype=np.intp)
+    negated = -estimates
+    if limit < num_items:
+        candidates = np.argpartition(negated, limit - 1, axis=1)[:, :limit]
+        candidates = np.sort(candidates, axis=1)
+    else:
+        candidates = np.tile(np.arange(num_items, dtype=np.intp), (num_rows, 1))
+    rows = np.arange(num_rows)[:, np.newaxis]
+    order = np.argsort(negated[rows, candidates], axis=1, kind="stable")
+    return candidates[rows, order]
 
 
 def top_n_from_vector(
@@ -43,20 +71,9 @@ def top_n_from_vector(
     n: int,
     tier: str = "personalized",
 ) -> RecommendationList:
-    """Deterministic top-N selection from a dense utility vector.
-
-    Ties are broken by item position in ``items``, so any two consumers
-    scoring from the same vector (per-user, batch, release server) agree
-    exactly on the ranking.
-    """
-    limit = min(n, estimates.size)
-    if limit == 0:
-        return as_recommendation_list(user, [], tier=tier)
-    if limit < estimates.size:
-        candidates = np.argpartition(-estimates, limit - 1)[:limit]
-    else:
-        candidates = np.arange(estimates.size)
-    order = candidates[np.lexsort((candidates, -estimates[candidates]))]
+    """Top-N list from a dense utility vector: :func:`top_n_positions`
+    applied to the vector as a single row."""
+    order = top_n_positions(estimates[np.newaxis, :], n)[0]
     return as_recommendation_list(
         user, [(items[i], float(estimates[i])) for i in order], tier=tier
     )
@@ -209,8 +226,8 @@ class BaseRecommender(abc.ABC):
     ) -> RecommendationList:
         """Top-N selection from a dense utility vector (vectorised path).
 
-        Ties are broken by item position in ``items``, which is fixed at
-        fit time, so the selection is deterministic.  Subclasses whose
+        Delegates to :func:`top_n_from_vector`, so the selection is
+        deterministic for a given vector.  Subclasses whose
         utilities are naturally dense vectors override :meth:`recommend`
         through this helper to avoid building a full item->score dict.
         """

@@ -1,20 +1,19 @@
 """Vectorised, sharded, cache-backed batch recommendation.
 
-``PrivateSocialRecommender.recommend`` computes one user's similarity row
-in Python per call; for producing recommendations for *every* user (the
-paper's deployment: "outputs, for each target user, a personalized
-recommendation list"), this module replaces the per-user loop with sparse
-matrix algebra:
+``PrivateSocialRecommender.recommend`` scores one user per call; for
+producing recommendations for *every* user (the paper's deployment:
+"outputs, for each target user, a personalized recommendation list"),
+this module scores whole blocks of users with one dense product:
 
-    estimates  =  (S @ C) @ W_hat^T
+    estimates  =  P @ W_hat^T,    P = S @ C
 
-where ``S`` is the all-pairs similarity matrix
-(:mod:`repro.similarity.matrix`), ``C`` the 0/1 user-to-cluster indicator
-matrix, and ``W_hat`` the released noisy averages.  The result is
-identical to the sequential path — the tests assert bit-equal rankings —
+where ``P`` is the cluster profile (:mod:`repro.core.profile`): the
+all-pairs similarity kernel ``S`` times the 0/1 user-to-cluster
+indicator ``C``; ``W_hat`` holds the released noisy averages.  The result
+is identical to the per-user path — the tests assert bit-equal rankings —
 but runs at BLAS speed, chunked to bound memory.
 
-Two throughput layers sit on top of the kernel:
+Two throughput layers sit on top of the profile:
 
 - **A persistent similarity cache** (:mod:`repro.cache`): ``S`` reads
   only the *public* social graph, so it can be computed once, persisted
@@ -23,10 +22,9 @@ Two throughput layers sit on top of the kernel:
   to skip recomputation entirely on a warm cache.
 - **User-sharded parallel execution**: with ``workers >= 2`` the target
   users are split into contiguous shards scored across a process pool.
-  Workers *memory-map* the cached kernel artifact instead of receiving
-  (or recomputing) the matrix, so per-worker startup cost is bounded by
-  page-cache reads.  A shard whose worker fails falls back to the
-  in-parent sequential kernel, then to the per-user path — the same
+  Each worker receives only its shard's ``P`` rows (users x clusters,
+  far smaller than the kernel), never the kernel itself.  A shard whose
+  worker fails is rescored in-parent, then per user — the same
   degradation ladder as the sequential mode.
 
 Measures without a vectorised kernel (or with non-default cutoffs the
@@ -40,20 +38,18 @@ and overall rows/sec.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.cache.store import SimilarityStore, open_kernel_csr, save_kernel_artifact
+from repro.cache.store import SimilarityStore
 from repro.compute.kernels import build_kernel, supports_vectorized_kernel
 from repro.compute.stats import ComputeStats, validate_backend
 from repro.core.private import PrivateSocialRecommender
+from repro.core.profile import ClusterProfile, cluster_profile, recommend_from_row
 from repro.exceptions import ReproError
 from repro.obs.adapters import publish_batch_stats
 from repro.obs.spans import span
@@ -181,51 +177,21 @@ class BatchResult(Dict[UserId, RecommendationList]):
         self.stats = BatchStats()
 
 
-def _score_positions(
-    kernel: sp.csr_matrix,
-    indicator: sp.csr_matrix,
+def _score_rows(
+    rows: np.ndarray,
     release_t: np.ndarray,
-    positions: Sequence[int],
 ) -> Tuple[np.ndarray, List[int]]:
-    """Utility estimates for a block of users given by kernel row positions.
+    """Utility estimates for a block of dense profile rows.
 
-    ``positions[i] == -1`` marks a user absent from the kernel (zero
-    similarity row).  Returns the dense ``(len(positions), num_items)``
-    estimate matrix plus the indices of rows with no similarity signal —
-    those users must be served by the per-user degradation ladder so
-    their reported tier matches ``recommender.recommend`` exactly.
+    Returns the ``(len(rows), num_items)`` estimate matrix plus the
+    indices of rows with no similarity signal — those users must be
+    served by the per-user degradation ladder so their reported tier
+    matches ``recommender.recommend`` exactly.  Module-level so pool
+    workers can run it under every start method.
     """
-    present = [p for p in positions if p >= 0]
-    dense = np.zeros((len(positions), indicator.shape[1]))
-    if present:
-        cluster_rows = kernel[present, :] @ indicator
-        dense_present = np.asarray(cluster_rows.todense())
-        cursor = 0
-        for i, p in enumerate(positions):
-            if p >= 0:
-                dense[i, :] = dense_present[cursor, :]
-                cursor += 1
-    estimates = dense @ release_t
-    zero_rows = [i for i in range(len(positions)) if not dense[i, :].any()]
+    estimates = rows @ release_t
+    zero_rows = np.flatnonzero(~rows.any(axis=1)).tolist()
     return estimates, zero_rows
-
-
-def _score_shard_worker(
-    artifact_path: str,
-    positions: List[int],
-    indicator_parts: Tuple[np.ndarray, np.ndarray, np.ndarray, Tuple[int, int]],
-    release_t: np.ndarray,
-) -> Tuple[np.ndarray, List[int]]:
-    """Pool-worker entry point: score one user shard from the cached kernel.
-
-    The kernel is memory-mapped straight out of the artifact — workers
-    never recompute similarities and share one page-cache copy of the
-    buffers.  Module-level so it pickles under every start method.
-    """
-    kernel = open_kernel_csr(artifact_path)
-    data, indices, indptr, shape = indicator_parts
-    indicator = sp.csr_matrix((data, indices, indptr), shape=shape)
-    return _score_positions(kernel, indicator, release_t, positions)
 
 
 def batch_recommend_all(
@@ -251,8 +217,8 @@ def batch_recommend_all(
             loaded from (or written to) it instead of being recomputed,
             and hit/miss counters are reported on the result's stats.
         workers: with ``workers >= 2``, score contiguous user shards
-            across a process pool whose workers memory-map the cached
-            kernel artifact.  Default (None or 1) stays in-process.
+            across a process pool; each worker receives its shard's
+            profile rows.  Default (None or 1) stays in-process.
         shard_size: users per pool shard (default: spread the target
             users over ``4 * workers`` shards so a slow shard cannot
             stall the whole batch).
@@ -319,7 +285,6 @@ def _batch_recommend_all(
     stats = results.stats
     compute_stats = ComputeStats(requested=backend)
 
-    artifact_path: Optional[str] = None
     kernel_start = time.perf_counter()
     try:
         fault_point("batch.kernel")
@@ -336,7 +301,6 @@ def _batch_recommend_all(
                 ),
             )
             sim_matrix: Optional[SimilarityMatrix] = lookup.matrix
-            artifact_path = lookup.path
             stats.cache_hits = store.stats.hits - before.hits
             stats.cache_misses = store.stats.misses - before.misses
         else:
@@ -361,7 +325,7 @@ def _batch_recommend_all(
         _finalise_stats(stats, len(results), start_time)
         return results
 
-    indicator = recommender.cluster_indicator(sim_matrix.users)
+    profile = cluster_profile(sim_matrix, clustering)
     release_t = np.ascontiguousarray(weights.matrix.T)  # (clusters x items)
 
     parallel = workers is not None and workers > 1 and len(target_users) > 1
@@ -371,23 +335,14 @@ def _batch_recommend_all(
             results,
             target_users,
             limit,
-            sim_matrix,
-            indicator,
+            profile,
             release_t,
-            artifact_path,
             workers,
             shard_size,
         )
     else:
         _run_sequential(
-            recommender,
-            results,
-            target_users,
-            limit,
-            sim_matrix,
-            indicator,
-            release_t,
-            chunk_size,
+            recommender, results, target_users, limit, profile, release_t, chunk_size
         )
     _finalise_stats(stats, len(results), start_time)
     return results
@@ -413,15 +368,17 @@ def _merge_block(
 ) -> None:
     """Turn a scored block into recommendation lists.
 
-    Zero-signal users route through the per-user path so the degradation
-    ladder (and its reported tier) matches ``recommender.recommend``
-    exactly.
+    Zero-signal users take the degradation ladder through
+    :func:`~repro.core.profile.recommend_from_row`, the same code
+    ``recommender.recommend`` runs for them, so their lists and reported
+    tiers match it exactly without building the recommender's own
+    profile.
     """
     weights = recommender.noisy_weights_
     zero_set = set(zero_rows)
     for i, user in enumerate(block_users):
         if i in zero_set:
-            results[user] = recommender.recommend(user, n=limit)
+            results[user] = recommend_from_row(user, weights, None, limit)
             results.stats.fallback_users += 1
         else:
             results[user] = recommender._recommend_from_vector(
@@ -434,16 +391,13 @@ def _run_sequential(
     results: BatchResult,
     target_users: Sequence[UserId],
     limit: int,
-    sim_matrix: SimilarityMatrix,
-    indicator: sp.csr_matrix,
+    profile: ClusterProfile,
     release_t: np.ndarray,
     chunk_size: int,
 ) -> None:
     """The in-process path: one pass of chunked dense products."""
     stats = results.stats
     stats.mode = "sequential"
-    cluster_sims = sim_matrix.matrix @ indicator  # (users x clusters)
-    num_clusters = indicator.shape[1]
     for start in range(0, len(target_users), chunk_size):
         chunk = target_users[start : start + chunk_size]
         chunk_start = time.perf_counter()
@@ -451,27 +405,12 @@ def _run_sequential(
         with span("batch.chunk"):
             try:
                 fault_point("batch.chunk")
-                chunk_rows = [sim_matrix.index.get(user) for user in chunk]
-                present = [p for p in chunk_rows if p is not None]
-                dense = np.zeros((len(chunk), num_clusters))
-                if present:
-                    dense_present = np.asarray(
-                        cluster_sims[present, :].todense()
-                    )
-                    cursor = 0
-                    for i, p in enumerate(chunk_rows):
-                        if p is not None:
-                            dense[i, :] = dense_present[cursor, :]
-                            cursor += 1
-                estimates = dense @ release_t  # (chunk x items)
-                zero_rows = [
-                    i for i in range(len(chunk)) if not dense[i, :].any()
-                ]
+                estimates, zero_rows = _score_rows(profile.rows(chunk), release_t)
                 _merge_block(
                     recommender, results, chunk, estimates, zero_rows, limit
                 )
             except Exception:
-                # A chunk that fails mid-kernel (bad BLAS call, injected
+                # A chunk that fails mid-product (bad BLAS call, injected
                 # fault, memory pressure) degrades to the per-user path for
                 # just that chunk; the rest of the batch stays vectorised.
                 stats.fallback_shards += 1
@@ -487,10 +426,8 @@ def _run_parallel(
     results: BatchResult,
     target_users: Sequence[UserId],
     limit: int,
-    sim_matrix: SimilarityMatrix,
-    indicator: sp.csr_matrix,
+    profile: ClusterProfile,
     release_t: np.ndarray,
-    artifact_path: Optional[str],
     workers: int,
     shard_size: Optional[int],
 ) -> None:
@@ -499,77 +436,34 @@ def _run_parallel(
     stats.mode = "parallel"
     if shard_size is None:
         shard_size = max(1, math.ceil(len(target_users) / (workers * 4)))
-
-    ephemeral: Optional[tempfile.TemporaryDirectory] = None
-    try:
-        if artifact_path is None or not os.path.exists(artifact_path):
-            # No persistent store: spill the kernel to a temp artifact so
-            # workers can still map it instead of pickling the matrix.
-            ephemeral = tempfile.TemporaryDirectory(prefix="repro-kernel-")
-            artifact_path = os.path.join(ephemeral.name, "kernel.npz")
-            save_kernel_artifact(
-                artifact_path, sim_matrix, "ephemeral", recommender.measure
-            )
-
-        shards = [
-            list(target_users[start : start + shard_size])
-            for start in range(0, len(target_users), shard_size)
-        ]
-        positions_per_shard = [
-            [sim_matrix.index.get(user, -1) for user in shard] for shard in shards
-        ]
-        indicator_parts = (
-            indicator.data,
-            indicator.indices,
-            indicator.indptr,
-            indicator.shape,
-        )
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _score_shard_worker,
-                    artifact_path,
-                    positions,
-                    indicator_parts,
-                    release_t,
-                )
-                for positions in positions_per_shard
-            ]
-            for shard, positions, future in zip(shards, positions_per_shard, futures):
-                shard_start = time.perf_counter()
-                stats.num_shards += 1
-                with span("batch.shard"):
+    shards = [
+        list(target_users[start : start + shard_size])
+        for start in range(0, len(target_users), shard_size)
+    ]
+    rows_per_shard = [profile.rows(shard) for shard in shards]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_score_rows, rows, release_t) for rows in rows_per_shard]
+        for shard, rows, future in zip(shards, rows_per_shard, futures):
+            shard_start = time.perf_counter()
+            stats.num_shards += 1
+            with span("batch.shard"):
+                try:
+                    fault_point("batch.shard")
+                    estimates, zero_rows = future.result()
+                except Exception:
+                    # Worker died or was told to fail: rescore this shard
+                    # in-parent (same math, same result), then per-user if
+                    # even that fails.
+                    stats.fallback_shards += 1
+                    stats.record_transition("pool->parent")
                     try:
-                        fault_point("batch.shard")
-                        estimates, zero_rows = future.result()
+                        estimates, zero_rows = _score_rows(rows, release_t)
                     except Exception:
-                        # Worker died or was told to fail: rescore this
-                        # shard with the in-parent kernel (same math, same
-                        # result), then per-user if even that fails.
-                        stats.fallback_shards += 1
-                        stats.record_transition("pool->parent")
-                        try:
-                            estimates, zero_rows = _score_positions(
-                                sim_matrix.matrix,
-                                indicator,
-                                release_t,
-                                positions,
-                            )
-                        except Exception:
-                            stats.record_transition("parent->per-user")
-                            for user in shard:
-                                results[user] = recommender.recommend(
-                                    user, n=limit
-                                )
-                            stats.fallback_users += len(shard)
-                            stats.shard_seconds.append(
-                                time.perf_counter() - shard_start
-                            )
-                            continue
-                    _merge_block(
-                        recommender, results, shard, estimates, zero_rows, limit
-                    )
-                stats.shard_seconds.append(time.perf_counter() - shard_start)
-    finally:
-        if ephemeral is not None:
-            ephemeral.cleanup()
+                        stats.record_transition("parent->per-user")
+                        for user in shard:
+                            results[user] = recommender.recommend(user, n=limit)
+                        stats.fallback_users += len(shard)
+                        stats.shard_seconds.append(time.perf_counter() - shard_start)
+                        continue
+                _merge_block(recommender, results, shard, estimates, zero_rows, limit)
+            stats.shard_seconds.append(time.perf_counter() - shard_start)

@@ -11,6 +11,10 @@ public social graph, without touching the private preference data again.
   weight cap).  Saves to / loads from a single ``.npz`` file.
 - :class:`ReleaseServer` — serves top-N recommendations from a loaded
   artifact plus the public social graph.  No preference graph needed.
+  :meth:`ReleaseServer.warm` builds the cluster profile ``P = S·C``
+  (:mod:`repro.core.profile`) once; a request is a ``P`` row lookup, one
+  matvec and the shared top-N selector.  No per-user similarity rows
+  are materialised.
 
 Identifiers must be JSON-representable (int or str) to persist; the
 synthetic datasets and the HetRec loaders use ints throughout.
@@ -27,9 +31,14 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.community.clustering import Clustering
-from repro.core.base import top_n_from_vector
 from repro.core.cluster_weights import NoisyClusterWeights
 from repro.core.private import PrivateSocialRecommender
+from repro.core.profile import (
+    ClusterProfile,
+    cluster_profile,
+    profile_kernel,
+    recommend_from_row,
+)
 from repro.exceptions import (
     DatasetError,
     NodeNotFoundError,
@@ -37,16 +46,11 @@ from repro.exceptions import (
     ReleaseIntegrityError,
 )
 from repro.graph.social_graph import SocialGraph
-from repro.obs.registry import incr as obs_incr
-from repro.resilience.degradation import (
-    DEGRADATION_LADDER,
-    TIER_PERSONALIZED,
-    degradation_estimates,
-)
+from repro.resilience.degradation import DEGRADATION_LADDER, TIER_PERSONALIZED
 from repro.resilience.faults import fault_point
 from repro.resilience.retry import RetryPolicy
-from repro.similarity.base import SimilarityCache, SimilarityMeasure, get_measure
-from repro.types import ItemId, RecommendationList, UserId, as_recommendation_list
+from repro.similarity.base import SimilarityMeasure, get_measure
+from repro.types import ItemId, RecommendationList, UserId
 
 __all__ = ["PublishedRelease", "ReleaseServer", "ReleaseProvenance", "inspect_release"]
 
@@ -369,46 +373,37 @@ class ReleaseServer:
         self.release = release
         self.social = social
         self.measure = measure
-        self._similarity = SimilarityCache(measure, social)
+        self._profile: Optional[ClusterProfile] = None
 
     def warm(self, store=None) -> None:
-        """Precompute the similarity kernel off the request path.
+        """Build the cluster profile ``P = S·C`` off the request path.
 
-        With a :class:`~repro.cache.store.SimilarityStore` the kernel is
-        built (or mmap'd straight back) through the persistent
+        With a :class:`~repro.cache.store.SimilarityStore` the kernel
+        ``S`` is built (or mmap'd straight back) through the persistent
         content-addressed cache, so a freshly swapped-in release costs
-        one artifact read, not a kernel build.  Without one, the
-        in-memory cache precomputes.  Measures with no vectorised
-        kernel fall back to per-row precomputation either way.
+        one artifact read, not a kernel build.  Only ``P`` (users x
+        clusters) is kept; the kernel is dropped once ``P`` exists.  An
+        unwarmed server builds ``P`` on its first request.
         """
-        if store is not None:
-            from repro.core.batch import (
-                compute_similarity_kernel,
-                supports_vectorised_measure,
-            )
+        kernel = profile_kernel(self.social, self.measure, store=store)
+        self._profile = cluster_profile(kernel, self.release.weights.clustering)
 
-            if supports_vectorised_measure(self.measure):
-                lookup = store.warm(
-                    self.social,
-                    self.measure,
-                    lambda: compute_similarity_kernel(self.social, self.measure),
-                )
-                self._similarity.adopt_kernel(lookup.matrix)
-                return
-        self._similarity.precompute()
-
-    def _cluster_similarity_vector(self, user: UserId) -> np.ndarray:
-        clustering = self.release.weights.clustering
-        vector = np.zeros(clustering.num_clusters)
-        for v, score in self._similarity.row(user).items():
-            if v in clustering:
-                vector[clustering.cluster_of(v)] += score
-        return vector
+    def _profile_row(self, user: UserId) -> Optional[np.ndarray]:
+        if self._profile is None:
+            self.warm()
+        return self._profile.row(user)
 
     def utilities(self, user: UserId) -> Dict[ItemId, float]:
-        """Estimated utilities of every released item for ``user``."""
+        """Estimated utilities of every released item for ``user``.
+
+        Raises:
+            NodeNotFoundError: when ``user`` is not in the social graph.
+        """
+        row = self._profile_row(user)
+        if row is None:
+            raise NodeNotFoundError(user)
         weights = self.release.weights
-        estimates = weights.matrix @ self._cluster_similarity_vector(user)
+        estimates = weights.matrix @ row
         return {item: float(estimates[i]) for i, item in enumerate(weights.items)}
 
     def recommend(
@@ -430,9 +425,9 @@ class ReleaseServer:
             n: list length.
             max_tier: best ladder rung to serve from.  The serving
                 tier's admission control passes a lower rung under
-                overload — skipping the similarity computation entirely
-                — which trades personalization for latency at zero
-                additional privacy cost.
+                overload — skipping the profile lookup entirely — which
+                trades personalization for latency at zero additional
+                privacy cost.
 
         Raises:
             ValueError: if ``n`` < 1 or ``max_tier`` is not a ladder rung.
@@ -443,20 +438,8 @@ class ReleaseServer:
             raise ValueError(
                 f"max_tier must be one of {DEGRADATION_LADDER}, got {max_tier!r}"
             )
-        weights = self.release.weights
-        if max_tier == TIER_PERSONALIZED:
-            try:
-                sim_vector = self._cluster_similarity_vector(user)
-            except NodeNotFoundError:
-                sim_vector = None
-            if sim_vector is not None and sim_vector.any():
-                obs_incr(f"serve.tier.{TIER_PERSONALIZED}")
-                estimates = weights.matrix @ sim_vector
-                return top_n_from_vector(user, weights.items, estimates, n)
-        estimates, tier = degradation_estimates(weights, user, max_tier=max_tier)
-        if estimates is None:
-            return as_recommendation_list(user, [], tier=tier)
-        return top_n_from_vector(user, weights.items, estimates, n, tier=tier)
+        row = self._profile_row(user) if max_tier == TIER_PERSONALIZED else None
+        return recommend_from_row(user, self.release.weights, row, n, max_tier=max_tier)
 
 
 @dataclass(frozen=True)

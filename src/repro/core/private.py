@@ -21,21 +21,24 @@
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.community.clustering import Clustering
 from repro.community.louvain import best_louvain_clustering
 from repro.core.base import BaseRecommender, FittedState
 from repro.core.cluster_weights import NoisyClusterWeights, noisy_cluster_item_weights
-from repro.exceptions import NodeNotFoundError, ReproError
+from repro.core.profile import (
+    ClusterProfile,
+    cluster_profile,
+    profile_kernel,
+    recommend_from_row,
+)
+from repro.exceptions import NodeNotFoundError
 from repro.graph.protocol import GraphLike
-from repro.obs.registry import incr as obs_incr
 from repro.privacy.budget import BudgetLedger
 from repro.privacy.mechanisms import validate_epsilon
-from repro.resilience.degradation import degradation_estimates
 from repro.resilience.faults import fault_point
 from repro.similarity.base import SimilarityMeasure
 from repro.types import ItemId, UserId
@@ -104,8 +107,8 @@ class PrivateSocialRecommender(BaseRecommender):
             edge set; noise scales by ``user_clamp``).
         user_clamp: per-user contribution bound under user-level
             protection.
-        compute_backend: backend for the similarity cache
-            (``auto | vectorized | python``; see
+        compute_backend: backend of the similarity kernel the cluster
+            profile is built from (``auto | vectorized | python``; see
             :class:`~repro.core.base.BaseRecommender`).
 
     After :meth:`fit`, the attributes :attr:`clustering_`,
@@ -139,6 +142,7 @@ class PrivateSocialRecommender(BaseRecommender):
         self.clustering_: Optional[Clustering] = None
         self.noisy_weights_: Optional[NoisyClusterWeights] = None
         self.ledger_: Optional[BudgetLedger] = None
+        self._profile: Optional[ClusterProfile] = None
 
     # ------------------------------------------------------------------
     # fit: lines 1-7 of Algorithm 1
@@ -165,19 +169,26 @@ class PrivateSocialRecommender(BaseRecommender):
                     f"cluster-averages[{item!r}]", self.epsilon, group="per-item"
                 )
         self.ledger_ = ledger
+        self._profile = None
 
     # ------------------------------------------------------------------
     # queries: lines 8-21 of Algorithm 1 (pure post-processing)
     # ------------------------------------------------------------------
-    def _cluster_similarity_vector(self, user: UserId) -> np.ndarray:
-        """``sim_sum(u, c)`` for every cluster c, as a dense vector."""
-        clustering = self.clustering_
-        assert clustering is not None
-        vector = np.zeros(clustering.num_clusters)
-        for v, score in self.state.similarity.row(user).items():
-            if v in clustering:
-                vector[clustering.cluster_of(v)] += score
-        return vector
+    def _cluster_profile(self) -> ClusterProfile:
+        """``P = S·C`` over the fitted social graph and clustering.
+
+        Built on the first query, never in :meth:`fit`, and dropped by
+        every refit.  The kernel comes from
+        :func:`~repro.compute.kernels.build_kernel` with the
+        recommender's ``compute_backend``.
+        """
+        state = self.state
+        if self._profile is None:
+            kernel = profile_kernel(
+                state.social, self.measure, backend=self.compute_backend
+            )
+            self._profile = cluster_profile(kernel, self.clustering_)
+        return self._profile
 
     def utilities(self, user: UserId) -> Dict[ItemId, float]:
         """Noisy utility estimates ``mu_hat_u^i`` for every item.
@@ -187,15 +198,15 @@ class PrivateSocialRecommender(BaseRecommender):
         can legitimately outrank a real one under noise — suppressing such
         items would leak which items have no edges.
         """
-        self.state  # raises NotFittedError before estimating anything
+        row = self._cluster_profile().row(user)
+        if row is None:
+            raise NodeNotFoundError(user)
         weights = self.noisy_weights_
-        assert weights is not None
-        sim_vector = self._cluster_similarity_vector(user)
-        estimates = weights.matrix @ sim_vector
+        estimates = weights.matrix @ row
         return {item: float(estimates[i]) for i, item in enumerate(weights.items)}
 
     def recommend(self, user: UserId, n: Optional[int] = None):
-        """Top-N from the dense estimate vector (fast vectorised path).
+        """Top-N from the user's cluster-profile row (fast vectorised path).
 
         Degrades gracefully instead of raising: a user unknown to the
         social graph, or one with no similarity signal reaching any
@@ -209,48 +220,8 @@ class PrivateSocialRecommender(BaseRecommender):
         limit = self.n if n is None else n
         if limit < 1:
             raise ValueError(f"n must be >= 1, got {limit}")
-        weights = self.noisy_weights_
-        assert weights is not None
-        try:
-            sim_vector = self._cluster_similarity_vector(user)
-        except NodeNotFoundError:
-            sim_vector = None
-        if sim_vector is not None and sim_vector.any():
-            obs_incr("serve.tier.personalized")
-            estimates = weights.matrix @ sim_vector
-            return self._recommend_from_vector(user, weights.items, estimates, limit)
-        estimates, tier = degradation_estimates(weights, user)
-        if estimates is None:
-            return self._recommend_from_vector(
-                user, weights.items, np.zeros(0), limit, tier=tier
-            )
-        return self._recommend_from_vector(
-            user, weights.items, estimates, limit, tier=tier
-        )
-
-    def cluster_indicator(self, users: Sequence[UserId]) -> sp.csr_matrix:
-        """The 0/1 user-to-cluster indicator matrix over ``users``.
-
-        Row order follows ``users``; users outside the fitted clustering
-        get an all-zero row.  This is the ``C`` of the batch-serving
-        product ``(S @ C) @ W_hat^T`` (:mod:`repro.core.batch`) — exposed
-        here so every consumer builds it from the same fitted clustering.
-
-        Raises:
-            ReproError: when the recommender has no fitted clustering.
-        """
-        clustering = self.clustering_
-        if clustering is None:
-            raise ReproError("recommender has no fitted clustering; fit it first")
-        rows, cols = [], []
-        for position, user in enumerate(users):
-            if user in clustering:
-                rows.append(position)
-                cols.append(clustering.cluster_of(user))
-        return sp.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)),
-            shape=(len(users), clustering.num_clusters),
-        )
+        row = self._cluster_profile().row(user)
+        return recommend_from_row(user, self.noisy_weights_, row, limit)
 
     # ------------------------------------------------------------------
     # introspection

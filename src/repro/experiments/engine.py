@@ -9,12 +9,13 @@ the outermost loop that still needs it:
 
 - per dataset: the exact cluster-item averages ``A``
   (:func:`~repro.core.cluster_weights.cluster_item_averages`), the
-  covering clustering, the cluster indicator ``C``, and the cluster-size
-  vector of the degradation ladder;
+  covering clustering, and the cluster-size vector of the degradation
+  ladder;
 - per (dataset, measure): the similarity kernel ``S``
   (:func:`~repro.compute.build_kernel`, optionally through a persistent
   :class:`~repro.cache.store.SimilarityStore`), the evaluation users'
-  cluster profile ``P = S @ C``, the dense ideal-utility matrix, and the
+  rows of the cluster profile ``P = S @ C``
+  (:mod:`repro.core.profile`), the dense ideal-utility matrix, and the
   cumulative reference DCG at every cutoff;
 - per (epsilon, repeat): *only* one Laplace tensor, one matmul
   ``E = P @ (A + L)^T``, one vectorised ranking, and one cumulative-DCG
@@ -23,15 +24,16 @@ the outermost loop that still needs it:
 Equivalence with the per-user reference path is structural, not
 approximate: the noise stream reuses the recommender's exact generator
 discipline (one ``default_rng(SeedSequence(seed))`` laplace draw over the
-full matrix), the ranking reproduces ``top_n_from_vector``'s
-argpartition/stable-sort tie-breaking, the zero-signal users are served
+full matrix), the ranking is the shared selector
+:func:`~repro.core.base.top_n_positions` that ``top_n_from_vector`` is
+built on, the zero-signal users are served
 by the same degradation ladder, and the NDCG accumulation follows the
 scalar summation order.  The test suite pins rankings and scores against
 the reference engine.
 
 With ``workers >= 2`` the (epsilon) cells of one measure fan out over a
-process pool; workers memory-map the cached kernel artifact and the
-spilled evaluation arrays instead of receiving them pickled.  Failures
+process pool; workers memory-map the spilled profile rows and evaluation
+arrays instead of receiving them pickled, and never see the kernel.  Failures
 degrade per cell: pooled cell -> in-parent sequential scoring -> the cell
 is abandoned to the caller's per-user reference path (fault sites
 ``engine.cell`` and ``engine.repeat``).
@@ -48,14 +50,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.cache.store import SimilarityStore, open_kernel_csr, save_kernel_artifact
+from repro.cache.store import SimilarityStore
 from repro.community.clustering import Clustering
 from repro.compute.kernels import build_kernel, supports_vectorized_kernel
 from repro.compute.stats import ComputeStats, validate_backend
+from repro.core.base import top_n_positions
 from repro.core.cluster_weights import ClusterItemAverages, cluster_item_averages
 from repro.core.private import covering_clustering
+from repro.core.profile import cluster_profile
 from repro.datasets.dataset import SocialRecDataset
 from repro.exceptions import ExperimentError
 from repro.experiments.evaluation import EvaluationContext
@@ -138,19 +141,10 @@ class EngineStats:
 
 
 @dataclass
-class _KernelBundle:
-    """One measure's kernel plus the on-disk artifact workers can map."""
-
-    kernel: SimilarityMatrix
-    artifact_path: Optional[str]
-
-
-@dataclass
 class _EvalArrays:
     """Dense per-context arrays shared across every epsilon and repeat."""
 
     context: EvaluationContext
-    positions: np.ndarray  # kernel row of each evaluation user
     utilities: np.ndarray  # (users x items) ideal utilities
     reference_cum: np.ndarray  # (users x max_n) cumulative reference DCG
 
@@ -161,9 +155,7 @@ class _ClusterArrays:
 
     clustering: Clustering  # as passed by the caller (keeps id() stable)
     covering: Clustering  # extended to cover preference-only users
-    users: List[UserId]  # kernel row order the indicator was built over
     averages: ClusterItemAverages
-    indicator: sp.csr_matrix  # (kernel users x clusters)
     sizes: np.ndarray  # cluster sizes, for the degradation ladder
 
 
@@ -185,31 +177,6 @@ def _noised(matrix: np.ndarray, scales: Optional[np.ndarray], seed: int) -> np.n
     )
 
 
-def _rank_rows(estimates: np.ndarray, limit: int) -> np.ndarray:
-    """Top-``limit`` item positions per row of a dense estimate block.
-
-    Reproduces ``BaseRecommender.top_n_from_vector`` exactly: argpartition
-    selects each row's top set, then a stable sort on (-estimate, item
-    position) orders it.  The reference's lexsort keys make the final
-    ranking a function of the selected *set* alone, so sorting the
-    candidate positions ascending before the stable value sort yields the
-    identical ranking.
-    """
-    num_rows, num_items = estimates.shape
-    limit = min(limit, num_items)
-    if limit == 0:
-        return np.empty((num_rows, 0), dtype=np.intp)
-    negated = -estimates
-    if limit < num_items:
-        candidates = np.argpartition(negated, limit - 1, axis=1)[:, :limit]
-        candidates = np.sort(candidates, axis=1)
-    else:
-        candidates = np.tile(np.arange(num_items, dtype=np.intp), (num_rows, 1))
-    values = np.take_along_axis(negated, candidates, axis=1)
-    order = np.argsort(values, axis=1, kind="stable")
-    return np.take_along_axis(candidates, order, axis=1)
-
-
 def _degraded_estimates(
     noised: np.ndarray, sizes: np.ndarray, column: int
 ) -> Optional[np.ndarray]:
@@ -227,14 +194,6 @@ def _degraded_estimates(
     if total <= 0:
         return None
     return np.asarray(noised @ (sizes / total), dtype=float)
-
-
-def _profile_rows(
-    kernel: sp.csr_matrix, positions: Sequence[int], indicator: sp.csr_matrix
-) -> np.ndarray:
-    """``P = S @ C`` restricted to the evaluation users' kernel rows."""
-    rows = kernel[list(positions), :] @ indicator
-    return np.asarray(rows.todense())
 
 
 def _rank_repeat(
@@ -265,7 +224,7 @@ def _rank_repeat(
         stop = min(start + chunk_size, num_users)
         estimates = profile[start:stop] @ release_t
         for n, limit in limits.items():
-            ranked[n][start:stop] = _rank_rows(estimates, limit)
+            ranked[n][start:stop] = top_n_positions(estimates, limit)
     overrides: Dict[int, Dict[int, np.ndarray]] = {n: {} for n in limits}
     for row in np.flatnonzero(~profile.any(axis=1)):
         estimates = _degraded_estimates(noised, sizes, int(columns[row]))
@@ -273,7 +232,7 @@ def _rank_repeat(
             if estimates is None:
                 overrides[n][int(row)] = np.empty(0, dtype=np.intp)
             else:
-                overrides[n][int(row)] = _rank_rows(
+                overrides[n][int(row)] = top_n_positions(
                     estimates[np.newaxis, :], limit
                 )[0]
     return {n: (ranked[n], overrides[n]) for n in limits}
@@ -354,9 +313,7 @@ def _cell_scores(
 
 
 def _score_cell_worker(
-    artifact_path: str,
-    positions: List[int],
-    indicator_parts: Tuple[np.ndarray, np.ndarray, np.ndarray, Tuple[int, int]],
+    profile_path: str,
     utilities_path: str,
     reference_path: str,
     averages_path: str,
@@ -369,16 +326,12 @@ def _score_cell_worker(
 ) -> Dict[int, List[float]]:
     """Pool-worker entry point: score one (measure, epsilon) cell.
 
-    The kernel CSR buffers are memory-mapped straight out of the cached
-    artifact and the dense evaluation arrays out of their ``.npy`` spills,
-    so workers share one page-cache copy of every large input instead of
-    receiving them pickled.  Module-level so it pickles under every start
-    method.
+    The evaluation users' profile rows and the dense evaluation arrays
+    are memory-mapped out of their ``.npy`` spills, so workers share one
+    page-cache copy of every large input instead of receiving them
+    pickled.  Module-level so it pickles under every start method.
     """
-    kernel = open_kernel_csr(artifact_path)
-    data, indices, indptr, shape = indicator_parts
-    indicator = sp.csr_matrix((data, indices, indptr), shape=shape)
-    profile = _profile_rows(kernel, positions, indicator)
+    profile = np.load(profile_path, mmap_mode="r")
     utilities = np.load(utilities_path, mmap_mode="r")
     reference_cum = np.load(reference_path, mmap_mode="r")
     averages_matrix = np.load(averages_path, mmap_mode="r")
@@ -410,7 +363,8 @@ class SweepEngine:
             hit/miss counters land on :attr:`stats`.
         workers: with ``workers >= 2``, the epsilon cells of each
             ``evaluate_many`` call fan out over a process pool whose
-            workers memory-map the kernel artifact.  Default: in-process.
+            workers memory-map the spilled profile rows.  Default:
+            in-process.
         backend: kernel construction backend
             (``auto | vectorized | python``); measures without a
             vectorised kernel transparently use the per-user reference
@@ -448,7 +402,7 @@ class SweepEngine:
         self.protection = protection
         self.user_clamp = user_clamp
         self.stats = EngineStats(workers=workers if workers else 1)
-        self._kernels: Dict[str, _KernelBundle] = {}
+        self._kernels: Dict[str, SimilarityMatrix] = {}
         self._evals: Dict[int, _EvalArrays] = {}
         self._clusters: Dict[int, _ClusterArrays] = {}
         self._columns: Dict[Tuple[int, int], np.ndarray] = {}
@@ -477,13 +431,6 @@ class SweepEngine:
             self._spill_dir.cleanup()
             self._spill_dir = None
             self._spill_paths.clear()
-            # Ephemeral artifacts lived in the spill dir; forget them so a
-            # later parallel call re-spills instead of mapping a dead path.
-            for bundle in self._kernels.values():
-                if bundle.artifact_path and not os.path.exists(
-                    bundle.artifact_path
-                ):
-                    bundle.artifact_path = None
 
     def __enter__(self) -> "SweepEngine":
         return self
@@ -494,13 +441,12 @@ class SweepEngine:
     # ------------------------------------------------------------------
     # cached preprocessing layers
     # ------------------------------------------------------------------
-    def _kernel_for(self, measure) -> _KernelBundle:
-        bundle = self._kernels.get(measure.name)
-        if bundle is not None:
-            return bundle
+    def _kernel_for(self, measure) -> SimilarityMatrix:
+        kernel = self._kernels.get(measure.name)
+        if kernel is not None:
+            return kernel
         started = time.perf_counter()
         compute_stats = ComputeStats(requested=self.backend)
-        artifact_path: Optional[str] = None
         if self.store is not None and supports_vectorized_kernel(measure):
             before = self.store.stats.snapshot()
             lookup = self.store.get_or_compute(
@@ -514,7 +460,6 @@ class SweepEngine:
                 ),
             )
             kernel = lookup.matrix
-            artifact_path = lookup.path
             self.stats.cache_hits += self.store.stats.hits - before.hits
             self.stats.cache_misses += self.store.stats.misses - before.misses
         else:
@@ -524,13 +469,12 @@ class SweepEngine:
                 backend=self.backend,
                 stats=compute_stats,
             )
-        bundle = _KernelBundle(kernel=kernel, artifact_path=artifact_path)
-        self._kernels[measure.name] = bundle
+        self._kernels[measure.name] = kernel
         self.stats.measures += 1
         self.stats.kernel_seconds += time.perf_counter() - started
         if compute_stats.backend:  # a construction actually ran
             self.stats.compute = compute_stats
-        return bundle
+        return kernel
 
     def _items(self) -> Tuple[List[ItemId], Dict[ItemId, int]]:
         if self._item_index is None:
@@ -539,18 +483,18 @@ class SweepEngine:
             self._items_list = items
         return self._items_list, self._item_index
 
-    def _eval_for(self, context: EvaluationContext, bundle: _KernelBundle) -> _EvalArrays:
+    def _eval_for(
+        self, context: EvaluationContext, kernel: SimilarityMatrix
+    ) -> _EvalArrays:
         arrays = self._evals.get(id(context))
         if arrays is not None:
             return arrays
-        index = bundle.kernel.index
-        missing = [u for u in context.users if u not in index]
+        missing = [u for u in context.users if u not in kernel.index]
         if missing:
             raise ExperimentError(
                 f"evaluation users missing from the similarity kernel: "
                 f"{missing[:5]!r}"
             )
-        positions = np.array([index[u] for u in context.users], dtype=np.intp)
         _, item_index = self._items()
         utilities = np.zeros((len(context.users), len(item_index)))
         for row, user in enumerate(context.users):
@@ -566,21 +510,15 @@ class SweepEngine:
                 reference_gains[row, position] = ideal.get(item, 0.0)
         arrays = _EvalArrays(
             context=context,
-            positions=positions,
             utilities=utilities,
             reference_cum=dcg_array(reference_gains),
         )
         self._evals[id(context)] = arrays
         return arrays
 
-    def _cluster_for(
-        self, clustering: Clustering, bundle: _KernelBundle
-    ) -> _ClusterArrays:
+    def _cluster_for(self, clustering: Clustering) -> _ClusterArrays:
         arrays = self._clusters.get(id(clustering))
-        users = bundle.kernel.users
-        if arrays is not None and (
-            arrays.users is users or arrays.users == users
-        ):
+        if arrays is not None:
             return arrays
         covering = covering_clustering(clustering, self.dataset.preferences)
         averages = cluster_item_averages(
@@ -591,21 +529,10 @@ class SweepEngine:
             user_clamp=self.user_clamp,
             backend=self.backend,
         )
-        rows, cols = [], []
-        for position, user in enumerate(users):
-            if user in covering:
-                rows.append(position)
-                cols.append(covering.cluster_of(user))
-        indicator = sp.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)),
-            shape=(len(users), covering.num_clusters),
-        )
         arrays = _ClusterArrays(
             clustering=clustering,
             covering=covering,
-            users=list(users),
             averages=averages,
-            indicator=indicator,
             sizes=np.asarray(covering.sizes(), dtype=float),
         )
         self._clusters[id(clustering)] = arrays
@@ -631,18 +558,18 @@ class SweepEngine:
     def _profile_for(
         self,
         measure_name: str,
-        bundle: _KernelBundle,
+        kernel: SimilarityMatrix,
         evals: _EvalArrays,
         cluster_arrays: _ClusterArrays,
     ) -> np.ndarray:
+        """The evaluation users' dense rows of ``P = S @ C``."""
         key = (measure_name, id(evals.context), id(cluster_arrays.covering))
-        profile = self._profiles.get(key)
-        if profile is None:
-            profile = _profile_rows(
-                bundle.kernel.matrix, evals.positions, cluster_arrays.indicator
-            )
-            self._profiles[key] = profile
-        return profile
+        rows = self._profiles.get(key)
+        if rows is None:
+            profile = cluster_profile(kernel, cluster_arrays.covering)
+            rows = profile.rows(evals.context.users)
+            self._profiles[key] = rows
+        return rows
 
     # ------------------------------------------------------------------
     # spill management (parallel mode)
@@ -660,16 +587,6 @@ class SweepEngine:
             np.save(path, np.ascontiguousarray(array))
             self._spill_paths[tag] = path
         return path
-
-    def _artifact_for(self, measure, bundle: _KernelBundle) -> str:
-        if bundle.artifact_path is None or not os.path.exists(bundle.artifact_path):
-            self._spill_count += 1
-            path = os.path.join(
-                self._spill_root(), f"kernel-{self._spill_count}.npz"
-            )
-            save_kernel_artifact(path, bundle.kernel, "ephemeral", measure)
-            bundle.artifact_path = path
-        return bundle.artifact_path
 
     # ------------------------------------------------------------------
     # evaluation
@@ -736,11 +653,12 @@ class SweepEngine:
             return results
 
         measure = context.measure
-        bundle = self._kernel_for(measure)
-        evals = self._eval_for(context, bundle)
-        cluster_arrays = self._cluster_for(clustering, bundle)
+        kernel = self._kernel_for(measure)
+        evals = self._eval_for(context, kernel)
+        cluster_arrays = self._cluster_for(clustering)
         columns = self._columns_for(context, cluster_arrays)
         averages = cluster_arrays.averages
+        profile = self._profile_for(measure.name, kernel, evals, cluster_arrays)
 
         pending = [
             (
@@ -755,9 +673,6 @@ class SweepEngine:
 
         def score_sequential(cell_index: int) -> None:
             epsilon, ns, seeds, scales = pending[cell_index]
-            profile = self._profile_for(
-                measure.name, bundle, evals, cluster_arrays
-            )
             with span("engine.cell"):
                 scored[cell_index] = _cell_scores(
                     profile,
@@ -780,7 +695,15 @@ class SweepEngine:
         )
         if use_pool:
             self.stats.mode = "parallel"
-            artifact_path = self._artifact_for(measure, bundle)
+            profile_path = self._spill_array(
+                (
+                    "profile",
+                    measure.name,
+                    id(context),
+                    id(cluster_arrays.covering),
+                ),
+                profile,
+            )
             utilities_path = self._spill_array(
                 ("utilities", id(context)), evals.utilities
             )
@@ -790,23 +713,13 @@ class SweepEngine:
             averages_path = self._spill_array(
                 ("averages", id(cluster_arrays.covering)), averages.matrix
             )
-            positions = [int(p) for p in evals.positions]
-            indicator = cluster_arrays.indicator
-            indicator_parts = (
-                indicator.data,
-                indicator.indices,
-                indicator.indptr,
-                indicator.shape,
-            )
             with ProcessPoolExecutor(
                 max_workers=min(self.workers, len(pending))
             ) as pool:
                 futures = [
                     pool.submit(
                         _score_cell_worker,
-                        artifact_path,
-                        positions,
-                        indicator_parts,
+                        profile_path,
                         utilities_path,
                         reference_path,
                         averages_path,
@@ -825,7 +738,7 @@ class SweepEngine:
                         scored[cell_index] = future.result()
                     except Exception:
                         # Worker died or was told to fail: rescore this
-                        # cell with the in-parent kernel (same math, same
+                        # cell in-parent (same math, same
                         # result), then abandon it to the reference path
                         # if even that fails.
                         self.stats.fallback_cells += 1
@@ -906,11 +819,11 @@ class SweepEngine:
     def _repeat_state(self, context, clustering, epsilon, repeat_seed, ns):
         epsilon = validate_epsilon(float(epsilon))
         measure = context.measure
-        bundle = self._kernel_for(measure)
-        evals = self._eval_for(context, bundle)
-        cluster_arrays = self._cluster_for(clustering, bundle)
+        kernel = self._kernel_for(measure)
+        evals = self._eval_for(context, kernel)
+        cluster_arrays = self._cluster_for(clustering)
         columns = self._columns_for(context, cluster_arrays)
-        profile = self._profile_for(measure.name, bundle, evals, cluster_arrays)
+        profile = self._profile_for(measure.name, kernel, evals, cluster_arrays)
         averages = cluster_arrays.averages
         scales = averages.laplace_scales(epsilon)
         noised = _noised(averages.matrix, scales, int(repeat_seed))

@@ -4,7 +4,7 @@ Hot swap needs two properties from the thing it swaps: the flip must be
 a single atomic reference assignment, and the old generation must be
 drainable — the swapper has to know when every request that started
 against release vN has finished, so vN's resources (its mmap, its
-similarity cache) can be let go with **zero failed in-flight requests**.
+cluster profile) can be let go with **zero failed in-flight requests**.
 :class:`ServingEngine` provides both: it wraps a
 :class:`~repro.core.persistence.ReleaseServer` for one loaded release
 and counts requests in flight against it.
@@ -39,9 +39,9 @@ class ServingEngine:
         store: optional persistent
             :class:`~repro.cache.store.SimilarityStore` the kernel is
             warmed through.
-        warm: precompute the similarity kernel at construction — i.e.
-            during the initial load or the background phase of a hot
-            swap — so no request (and no thundering herd of first
+        warm: build the cluster profile ``P = S·C`` at construction —
+            i.e. during the initial load or the background phase of a
+            hot swap — so no request (and no thundering herd of first
             requests) pays the kernel build.
     """
 

@@ -20,7 +20,9 @@ Endpoints:
   supervisor can merge per-worker registries.
 - ``POST /admin/swap?path=P`` — hot-swap to the release artifact at
   ``P``: load + verify in the background, atomically flip, drain the
-  old generation (:mod:`repro.serve.swap`).
+  old generation (:mod:`repro.serve.swap`).  The swap runs on the
+  loop's default executor, never on the scoring pool, so its drain
+  cannot wait on requests queued behind it.
 - ``POST /admin/shutdown`` — graceful shutdown: stop accepting, drain
   in-flight requests, exit cleanly.
 
@@ -534,7 +536,9 @@ class RecommendationServer:
             )
 
         try:
-            result = await loop.run_in_executor(self._executor, do_swap)
+            # Off the scoring pool: the drain waits for scoring requests,
+            # which must not queue behind the swap that waits for them.
+            result = await loop.run_in_executor(None, do_swap)
         except ReproError as exc:
             return 409, {
                 "error": f"{type(exc).__name__}: {exc}",

@@ -5,16 +5,21 @@ returns ``sim(u, .)`` — the non-zero similarity scores from one user to all
 others.  Pairwise :meth:`similarity` and the *similarity set* ``sim(u)``
 (the paper's notation for users with non-zero similarity) derive from it.
 
-Rows are the unit of computation because every consumer in the framework —
-utility queries, sensitivity analysis, cluster quality — iterates a whole
-row at a time; computing rows directly lets each measure use one BFS/DP
-sweep per user instead of O(|U|) pairwise calls.
+Rows are the unit of computation because the row-wise consumers — the
+exact recommender, the baselines, sensitivity analysis, cluster quality —
+iterate a whole row at a time; computing rows directly lets each measure
+use one BFS/DP sweep per user instead of O(|U|) pairwise calls.
+
+The private scoring paths (recommender, release server, batch, sweep
+engine, audit) do not read rows through :class:`SimilarityCache`: they
+score from the cluster profile ``P = S·C`` of :mod:`repro.core.profile`,
+built once from the whole kernel, and keep no per-user dict rows.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, FrozenSet, List, Optional, Type
+from typing import Callable, Dict, FrozenSet, List, Optional
 
 from repro.exceptions import SimilarityError
 from repro.graph.protocol import GraphLike
@@ -175,19 +180,6 @@ class SimilarityCache:
     def similarity_set(self, user: UserId) -> FrozenSet[UserId]:
         """``sim(u)``: users with positive similarity, from the cached row."""
         return frozenset(v for v, s in self.row(user).items() if s > 0.0)
-
-    def adopt_kernel(self, kernel) -> None:
-        """Seed the cache from an externally built kernel.
-
-        The serving tier warms release generations through the persistent
-        :class:`~repro.cache.store.SimilarityStore`; adopting the stored
-        :class:`~repro.similarity.matrix.SimilarityMatrix` means no
-        request ever pays the kernel build.  Rows already cached win.
-        """
-        for user in kernel.users:
-            if user not in self._rows:
-                self._rows[user] = kernel.row(user)
-        self._kernel_built = True
 
     def precompute(
         self, users=None, backend: Optional[str] = None

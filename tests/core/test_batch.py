@@ -118,6 +118,26 @@ class TestValidation:
         assert results["ghost"].tier == "global-popularity"
         assert results["ghost"] == rec.recommend("ghost", n=5)
 
+    def test_zero_signal_users_cost_no_second_kernel(self, lastfm_small, monkeypatch):
+        import repro.compute.kernels as kernels
+        import repro.core.batch as batch_module
+
+        rec = _fitted(lastfm_small, CommonNeighbors())
+        built = []
+        original = kernels.build_kernel
+
+        def counting(*args, **kwargs):
+            built.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "build_kernel", counting)
+        monkeypatch.setattr(batch_module, "build_kernel", counting)
+        users = ["ghost"] + lastfm_small.social.users()[:5]
+        results = batch_recommend_all(rec, users=users, n=5)
+        assert results.stats.fallback_users >= 1
+        assert len(built) == 1
+        assert results["ghost"] == rec.recommend("ghost", n=5)
+
     def test_invalid_workers(self, lastfm_small):
         rec = _fitted(lastfm_small, CommonNeighbors())
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ all complete on vN — zero failures — while new requests land on vN+1.
 from __future__ import annotations
 
 import threading
+import time
 from urllib.parse import quote
 
 import pytest
@@ -158,3 +159,49 @@ class TestDrainGuarantee:
         assert counters["serve.swap.completed"] == 1
         assert counters.get("serve.errors", 0) == 0
         assert registry.snapshot().gauges["serve.swap.inflight_at_flip"] >= 1.0
+
+    def test_swap_with_one_scoring_thread_does_not_stall(
+        self, make_server, release_paths, popular_user
+    ):
+        """The swap runs off the scoring pool: with a single scoring
+        thread its drain must not wait on a request queued behind it."""
+        _, v2 = release_paths
+        config = ServerConfig(threads=1, drain_timeout_s=20.0)
+        harness = make_server(config=config)
+        results = []
+        swap = {}
+
+        def issue():
+            results.append(harness.get(f"/recommend?user={popular_user}"))
+
+        def post_swap():
+            started = time.perf_counter()
+            swap["reply"] = harness.post(f"/admin/swap?path={quote(v2)}")
+            swap["wall_s"] = time.perf_counter() - started
+
+        plan = FaultPlan(
+            [FaultSpec(site="serve.request", kind="slow", delay=1.0, repeat=True)]
+        )
+        with plan.installed():
+            first = threading.Thread(target=issue)
+            first.start()
+            assert wait_for(
+                lambda: harness.server.admission.depth >= 1, timeout_s=30.0
+            ), "the first request never reached the executor"
+            swapper = threading.Thread(target=post_swap)
+            swapper.start()
+            time.sleep(0.2)
+            # Arrives while the swap is under way (before the flip on a
+            # pool-bound swap): it must not be stuck behind the drain.
+            second = threading.Thread(target=issue)
+            second.start()
+            for thread in (first, swapper, second):
+                thread.join(timeout=60.0)
+
+        status, payload = swap["reply"]
+        assert status == 200
+        assert payload["drained"] is True
+        assert payload["drain_seconds"] < config.drain_timeout_s / 4
+        assert swap["wall_s"] < config.drain_timeout_s / 4
+        assert len(results) == 2
+        assert all(status == 200 for status, _ in results)
