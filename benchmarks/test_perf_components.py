@@ -1,10 +1,11 @@
 """Micro-benchmarks of the framework's computational components.
 
 Not a paper artifact — these pytest-benchmark timings document the cost
-profile of the pipeline (similarity rows, the noisy-release module A_w,
-end-to-end fit, per-user and batch recommendation) so regressions are
-visible.  CI runs this module with ``--benchmark-json`` and gates merges
-on ``benchmarks/check_regression.py`` (see docs/performance.md).
+profile of the pipeline (similarity rows, best-of-10 Louvain, the
+noisy-release module A_w, end-to-end fit, per-user and batch
+recommendation) so regressions are visible.  CI runs this module with
+``--benchmark-json`` and gates merges on ``benchmarks/check_regression.py``
+(see docs/performance.md).
 """
 
 import math
@@ -44,6 +45,16 @@ class TestSimilarityRowCost:
                 measure.similarity_row(graph, u)
 
         benchmark(run)
+
+
+class TestClusteringCost:
+    def test_benchmark_best_louvain(self, lastfm_bench, benchmark):
+        """Step 1 of Algorithm 1: the paper's best-of-10 Louvain restarts."""
+        result = benchmark(
+            lambda: best_louvain_clustering(lastfm_bench.social, runs=10, seed=0)
+        )
+        assert result.backend == "vectorized"
+        assert result.clustering.num_clusters > 1
 
 
 class TestMechanismCost:

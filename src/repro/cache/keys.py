@@ -24,7 +24,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.graph.social_graph import user_sort_key
 
@@ -79,14 +82,16 @@ class GraphFingerprintHasher:
 
     def add_int_users(self, count: int, start: int = 0) -> None:
         """Hash the contiguous int users ``start .. start+count-1``."""
+        self.add_sorted_int_users(range(start, start + count))
+
+    def add_sorted_int_users(self, users) -> None:
+        """Hash int users given as an ascending, sliceable sequence."""
         if self._sealed_users:
             raise ValueError("users must be hashed before any edges")
         digest = self._digest
-        for base in range(start, start + count, 65536):
-            stop = min(base + 65536, start + count)
-            digest.update(
-                "".join(f"i:{u}\x00" for u in range(base, stop)).encode("ascii")
-            )
+        for base in range(0, len(users), 65536):
+            chunk = users[base : base + 65536]
+            digest.update("".join(f"i:{u}\x00" for u in chunk).encode("ascii"))
 
     def add_sorted_int_edges(self, u_array, v_array) -> None:
         """Hash undirected int edges ``(u, v)``, ``u < v``, ascending.
@@ -126,7 +131,9 @@ def graph_fingerprint(graph) -> str:
     edge added or removed.  Graph representations that precompute their
     own canonical fingerprint (``BigCSRGraph`` stores it in the artifact
     metadata) short-circuit here, so content-addressing a million-user
-    mmap'd graph never walks its edges in Python.
+    mmap'd graph never walks its edges in Python.  Graphs whose users are
+    all plain ints sort in numpy instead of by tagged keys; the digest is
+    the same.
 
     Raises:
         TypeError: for user identifiers that are not int or str.
@@ -134,10 +141,45 @@ def graph_fingerprint(graph) -> str:
     precomputed = getattr(graph, "fingerprint", None)
     if isinstance(precomputed, str) and precomputed:
         return precomputed
+    users = graph.users()
+    if all(type(user) is int for user in users):
+        try:
+            return _int_graph_fingerprint(graph, users)
+        except OverflowError:  # an id beyond int64: the tagged path takes it
+            pass
+    return _tagged_graph_fingerprint(graph, users)
+
+
+def _int_graph_fingerprint(graph, users) -> str:
+    """:func:`graph_fingerprint` of an all-int graph, sorted in numpy.
+
+    Ints tag as ``i:<decimal>`` and sort numerically, so feeding the
+    numerically sorted ids and ``(min, max)`` edge pairs to
+    :class:`GraphFingerprintHasher` yields the tagged path's exact bytes.
+    """
+    ids = np.sort(np.fromiter(users, np.int64, len(users)))
+    pairs = np.fromiter(
+        chain.from_iterable(graph.edges()), np.int64, 2 * graph.num_edges
+    ).reshape(-1, 2)
+    hasher = GraphFingerprintHasher()
+    n = len(ids)
+    if n == 0 or (ids[0] == 0 and ids[-1] == n - 1):  # ids are distinct
+        hasher.add_int_users(n)
+    else:
+        hasher.add_sorted_int_users(ids.tolist())
+    lo = pairs.min(axis=1)
+    hi = pairs.max(axis=1)
+    order = np.lexsort((hi, lo))
+    hasher.add_sorted_int_edges(lo[order], hi[order])
+    return hasher.hexdigest()
+
+
+def _tagged_graph_fingerprint(graph, users) -> str:
+    """:func:`graph_fingerprint` over type-tagged ids, for any id types."""
     digest = hashlib.sha256()
     # The same canonical order SocialGraph.stable_user_order / to_csr use,
     # so a cached kernel's row order is reconstructible from its key inputs.
-    for user in sorted(graph.users(), key=user_sort_key):
+    for user in sorted(users, key=user_sort_key):
         digest.update(_tag(user).encode("utf-8"))
         digest.update(b"\x00")
     digest.update(b"\x01")

@@ -30,18 +30,27 @@ Two interchangeable backends drive the same level loop:
   same rng (property-tested).  ``backend="auto"`` (the default) runs
   vectorized and falls back to python on any failure, replaying the same
   rng stream.
+
+A call converts the graph once, and every restart of
+:func:`best_louvain_clustering` reuses that base graph: runs change only
+their node→community vectors.  The vectorized base comes from the graph's
+shared CSR export, and each flat graph caches its per-node neighbor runs
+as builtin lists for the sequential move scan; on unit-weight levels that
+scan counts neighbor communities as integers.
 """
 
 from __future__ import annotations
 
 import copy
+from collections import _count_elements  # the C counter behind Counter.update
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.community.clustering import Clustering
 from repro.community.modularity import modularity
+from repro.compute.adjacency import adjacency_csr
 from repro.compute.stats import validate_backend
 from repro.graph.protocol import GraphLike
 from repro.obs.registry import incr as obs_incr
@@ -101,17 +110,11 @@ class _AggregateGraph:
         could yield different partitions for the same seed.
         """
         users = graph.users()
-        if isinstance(users, range) and users == range(len(users)):
-            agg = cls(len(users))
-            pairs = sorted(graph.edges())
-        else:
-            index = {user: i for i, user in enumerate(users)}
-            agg = cls(len(users))
-            pairs = sorted(
-                (index[u], index[v]) if index[u] <= index[v] else (index[v], index[u])
-                for u, v in graph.edges()
-            )
-        for u, v in pairs:
+        index = {user: i for i, user in enumerate(users)}
+        agg = cls(len(users))
+        for u, v in sorted(
+            tuple(sorted((index[a], index[b]))) for a, b in graph.edges()
+        ):
             agg.add_edge(u, v, 1.0)
         return agg, users
 
@@ -251,10 +254,13 @@ class _FlatGraph:
     Per-node neighbor runs (``indices[indptr[u]:indptr[u+1]]``) keep the
     exact insertion order of the dict-based :class:`_AggregateGraph`, so
     first-appearance community iteration — the tie-breaking order — is
-    identical between backends.
+    identical between backends.  A graph is never mutated once built, so
+    restarts share it and its lazily built caches.
     """
 
-    __slots__ = ("indptr", "indices", "weights", "loops", "total_weight", "_wdeg")
+    __slots__ = (
+        "indptr", "indices", "weights", "loops", "total_weight", "_wdeg", "_runs"
+    )
 
     def __init__(
         self,
@@ -270,6 +276,7 @@ class _FlatGraph:
         self.loops = loops
         self.total_weight = total_weight
         self._wdeg: Optional[np.ndarray] = None
+        self._runs: Optional[Tuple[bool, List[List[Any]]]] = None
 
     @property
     def num_nodes(self) -> int:
@@ -285,22 +292,28 @@ class _FlatGraph:
             self._wdeg = wdeg + 2.0 * self.loops
         return self._wdeg
 
-    @classmethod
-    def from_adjacency_lists(
-        cls,
-        nbr_lists: List[List[int]],
-        wt_lists: List[List[float]],
-        loops: np.ndarray,
-        total_weight: float,
-    ) -> "_FlatGraph":
-        n = len(nbr_lists)
-        counts = np.fromiter((len(row) for row in nbr_lists), np.int64, n)
-        nnz = int(counts.sum()) if n else 0
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.fromiter((j for row in nbr_lists for j in row), np.int64, nnz)
-        weights = np.fromiter((w for row in wt_lists for w in row), np.float64, nnz)
-        return cls(indptr, indices, weights, loops, total_weight)
+    def neighbor_runs(self) -> Tuple[bool, List[List[Any]]]:
+        """Each node's neighbor run as a builtin list (cached).
+
+        Returns ``(unit, runs)``: when every edge weight is exactly 1.0,
+        ``unit`` is True and a run holds the neighbor indices alone;
+        otherwise a run holds ``(neighbor, weight)`` pairs.  Both keep
+        the CSR neighbor order.
+        """
+        if self._runs is None:
+            ptr = self.indptr.tolist()
+            idx = self.indices.tolist()
+            unit = bool((self.weights == 1.0).all())
+            if unit:
+                runs = [idx[ptr[i] : ptr[i + 1]] for i in range(self.num_nodes)]
+            else:
+                wts = self.weights.tolist()
+                runs = [
+                    list(zip(idx[ptr[i] : ptr[i + 1]], wts[ptr[i] : ptr[i + 1]]))
+                    for i in range(self.num_nodes)
+                ]
+            self._runs = (unit, runs)
+        return self._runs
 
     @classmethod
     def from_social_graph(
@@ -308,32 +321,25 @@ class _FlatGraph:
     ) -> Tuple["_FlatGraph", List[UserId]]:
         """Convert a social graph; returns the graph and the node-id order.
 
-        Edges are ingested in canonical sorted order (the same rule as
-        ``_AggregateGraph.from_social_graph``): neighbor-run order is the
-        tie-breaking order of local moving, so it must not depend on
-        whether the graph arrived as a ``SocialGraph`` or a mmap-backed
-        ``BigCSRGraph``.
+        Built from the graph's shared CSR export, permuted into
+        ``graph.users()`` order with sorted column indices.  Every
+        neighbor run is then ascending in node index: the order the python
+        backend's canonical sorted-edge ingest produces, for a
+        ``SocialGraph`` and a mmap-backed ``BigCSRGraph`` alike.
         """
         users = graph.users()
-        if isinstance(users, range) and users == range(len(users)):
-            pairs = sorted(graph.edges())
-        else:
-            index = {user: i for i, user in enumerate(users)}
-            pairs = sorted(
-                (index[u], index[v]) if index[u] <= index[v] else (index[v], index[u])
-                for u, v in graph.edges()
-            )
-        nbr_lists: List[List[int]] = [[] for _ in users]
-        for iu, iv in pairs:
-            nbr_lists[iu].append(iv)
-            nbr_lists[iv].append(iu)
-        wt_lists = [[1.0] * len(row) for row in nbr_lists]
-        return (
-            cls.from_adjacency_lists(
-                nbr_lists, wt_lists, np.zeros(len(users)), float(graph.num_edges)
-            ),
-            users,
-        )
+        n = len(users)
+        adjacency = adjacency_csr(graph)
+        matrix = adjacency.matrix
+        if not (isinstance(users, range) and users == adjacency.users):
+            index = adjacency.index
+            perm = np.fromiter((index[u] for u in users), np.int64, n)
+            matrix = matrix[perm][:, perm]
+            matrix.sort_indices()
+        indptr = np.asarray(matrix.indptr, dtype=np.int64)
+        indices = np.asarray(matrix.indices, dtype=np.int64)
+        weights = np.ones(len(indices))
+        return cls(indptr, indices, weights, np.zeros(n), float(graph.num_edges)), users
 
 
 def _one_level_flat(
@@ -347,15 +353,18 @@ def _one_level_flat(
     computed vectorised once (the dict version re-sums a node's adjacency
     on *every* visit of every sweep — the single largest cost in the
     reference implementation).  The sequential move scan itself runs over
-    builtin-list mirrors of the CSR arrays: local moving is inherently
-    order-dependent, and element reads on lists avoid per-access numpy
-    scalar boxing while holding the exact same float64 values.
+    the graph's cached builtin-list neighbor runs: local moving is
+    inherently order-dependent, and element reads on lists avoid
+    per-access numpy scalar boxing while holding the exact same float64
+    values.
 
     Candidate communities are visited in first-appearance order over the
     node's neighbor run — the order the dict version iterates
     ``links_to_com`` — and every link sum and community degree is an
     integer-valued float, so gains, comparisons, and therefore moves are
-    bit-identical to the python backend.
+    bit-identical to the python backend.  On a unit-weight graph the link
+    sums are integer counts: ``count - x`` equals ``float(count) - x``
+    for every count below 2**53, so the gains are the same floats.
     """
     m = graph.total_weight
     if m <= 0.0:
@@ -369,22 +378,13 @@ def _one_level_flat(
     order_arr = np.arange(n)
     rng.shuffle(order_arr)
 
-    ptr = graph.indptr.tolist()
-    idx = graph.indices.tolist()
-    wts = graph.weights.tolist()
+    unit, runs = graph.neighbor_runs()
     wdeg = wdeg_arr.tolist()
     com_degree = com_degree_arr.tolist()
     coms = node2com.tolist()
+    com_of = coms.__getitem__
     order = order_arr.tolist()
     two_m = 2.0 * m
-
-    # Per-node (neighbor, weight) runs, paired once and reused across every
-    # sweep — the CSR row slices stay in neighbor order, so links_to_com
-    # fills in the same first-appearance order as the dict backend.
-    pairs = [
-        list(zip(idx[ptr[i] : ptr[i + 1]], wts[ptr[i] : ptr[i + 1]]))
-        for i in range(n)
-    ]
 
     moved_any = False
     improved = True
@@ -395,14 +395,19 @@ def _one_level_flat(
             k_i = wdeg[node]
             k_i_over_2m = k_i / two_m
 
-            links_to_com: Dict[int, float] = {}
-            links_get = links_to_com.get
-            for nbr, weight in pairs[node]:
-                c = coms[nbr]
-                links_to_com[c] = links_get(c, 0.0) + weight
+            links_to_com: Dict[int, Any] = {}
+            if unit:
+                _count_elements(links_to_com, map(com_of, runs[node]))
+            else:
+                links_get = links_to_com.get
+                for nbr, weight in runs[node]:
+                    c = coms[nbr]
+                    links_to_com[c] = links_get(c, 0.0) + weight
+            if len(links_to_com) == 1 and com in links_to_com:
+                continue  # no other candidate; the degree round trip is exact
 
             com_degree[com] -= k_i
-            best_gain = links_to_com.get(com, 0.0) - com_degree[com] * k_i_over_2m
+            best_gain = links_to_com.get(com, 0) - com_degree[com] * k_i_over_2m
             best_com = com
             for c, dnc in links_to_com.items():
                 if c == com:
@@ -463,19 +468,17 @@ def _induced_flat(
     )
     pair_weight = np.bincount(inverse, weights=edge_w[inter])
 
-    nbr_lists: List[List[int]] = [[] for _ in range(num_coms)]
-    wt_lists: List[List[float]] = [[] for _ in range(num_coms)]
-    for j in np.argsort(first, kind="stable"):
-        j = int(j)
-        com_a, com_b = divmod(int(uniq[j]), num_coms)
-        weight = float(pair_weight[j])
-        nbr_lists[com_a].append(com_b)
-        wt_lists[com_a].append(weight)
-        nbr_lists[com_b].append(com_a)
-        wt_lists[com_b].append(weight)
-    return _FlatGraph.from_adjacency_lists(
-        nbr_lists, wt_lists, loops, graph.total_weight
-    )
+    # Both directions of each pair, pairs in first-appearance order; a
+    # stable sort by source keeps that order inside every neighbor run.
+    seq = np.argsort(first, kind="stable")
+    com_a, com_b = np.divmod(uniq[seq], num_coms)
+    src = np.column_stack((com_a, com_b)).ravel()
+    dst = np.column_stack((com_b, com_a)).ravel()
+    by_src = np.argsort(src, kind="stable")
+    indptr = np.zeros(num_coms + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=num_coms), out=indptr[1:])
+    weights = np.repeat(pair_weight[seq], 2)[by_src]
+    return _FlatGraph(indptr, dst[by_src], weights, loops, graph.total_weight)
 
 
 def _flat_partition_flat(
@@ -529,22 +532,6 @@ class _PythonBackend:
     partition = staticmethod(_flat_partition)
     partition_modularity = staticmethod(_partition_modularity)
 
-    @staticmethod
-    def num_nodes(graph: _AggregateGraph) -> int:
-        return graph.num_nodes
-
-    @staticmethod
-    def identity(n: int) -> List[int]:
-        return list(range(n))
-
-    @staticmethod
-    def copy_assignment(assignment: List[int]) -> List[int]:
-        return list(assignment)
-
-    @staticmethod
-    def compose(assignment: List[int], upper: List[int]) -> List[int]:
-        return [upper[c] for c in assignment]
-
 
 class _VectorizedBackend:
     """Dispatch table for the flat-array implementation."""
@@ -556,22 +543,6 @@ class _VectorizedBackend:
     induced = staticmethod(_induced_flat)
     partition = staticmethod(_flat_partition_flat)
     partition_modularity = staticmethod(_partition_modularity_flat)
-
-    @staticmethod
-    def num_nodes(graph: _FlatGraph) -> int:
-        return graph.num_nodes
-
-    @staticmethod
-    def identity(n: int) -> np.ndarray:
-        return np.arange(n, dtype=np.int64)
-
-    @staticmethod
-    def copy_assignment(assignment: np.ndarray) -> np.ndarray:
-        return assignment.copy()
-
-    @staticmethod
-    def compose(assignment: np.ndarray, upper: np.ndarray) -> np.ndarray:
-        return upper[assignment]
 
 
 @dataclass(frozen=True)
@@ -596,13 +567,18 @@ class LouvainResult:
 
 def _run_louvain(
     graph: GraphLike,
+    base: Any,
+    users: List[UserId],
     rng: np.random.Generator,
     refine: bool,
     ops: Any,
 ) -> LouvainResult:
-    """The backend-generic level loop (Blondel et al. + Rotta–Noack)."""
-    base, users = ops.from_social(graph)
-    n = ops.num_nodes(base)
+    """The backend-generic level loop (Blondel et al. + Rotta–Noack).
+
+    ``base`` is ``graph`` converted by ``ops.from_social`` with node-id
+    order ``users``; the loop reads it and never mutates it.
+    """
+    n = base.num_nodes
     if n == 0:
         return LouvainResult(Clustering([]), 0.0, 0, refined=False, backend=ops.name)
     if base.total_weight == 0.0:
@@ -614,7 +590,7 @@ def _run_louvain(
     current = base
     prev_q = -1.0
     while True:
-        node2com = ops.identity(ops.num_nodes(current))
+        node2com = ops.partition([], current.num_nodes)  # singletons
         ops.one_level(current, node2com, rng)
         node2com, num_coms = ops.renumber(node2com)
         flat = ops.partition(levels + [node2com], n)
@@ -623,7 +599,7 @@ def _run_louvain(
             break
         prev_q = q
         levels.append(node2com)
-        if num_coms == ops.num_nodes(current):
+        if num_coms == current.num_nodes:
             break
         current = ops.induced(current, node2com, num_coms)
         graphs.append(current)
@@ -642,6 +618,51 @@ def _run_louvain(
         refined=refine and len(levels) > 1,
         backend=ops.name,
     )
+
+
+def _louvain_runs(
+    graph: GraphLike,
+    rngs: Iterable[np.random.Generator],
+    refine: bool,
+    backend: str,
+) -> Iterator[LouvainResult]:
+    """One Louvain run per generator in ``rngs``, all on one conversion.
+
+    Each backend converts ``graph`` at most once, on its first run, and
+    every later run reuses that base graph.  Under ``auto`` each run falls
+    back to python on its own, replaying its generator's snapshot; the
+    python base is built only when a fallback actually runs.
+    """
+    converted: Dict[str, Tuple[Any, List[UserId]]] = {}
+
+    def run(rng: np.random.Generator, ops: Any) -> LouvainResult:
+        if ops.name not in converted:
+            converted[ops.name] = ops.from_social(graph)
+        base, users = converted[ops.name]
+        return _run_louvain(graph, base, users, rng, refine, ops)
+
+    for rng in rngs:
+        with span("community.louvain"):
+            obs_incr("louvain.runs")
+            if backend == "python":
+                obs_incr("louvain.backend.python")
+                result = run(rng, _PythonBackend)
+            else:
+                # Snapshot the generator so a fallback replays the
+                # identical stream — the python rerun then produces the
+                # exact partition the vectorized run would have.
+                rng_snapshot = copy.deepcopy(rng)
+                try:
+                    fault_point("compute.louvain")
+                    result = run(rng, _VectorizedBackend)
+                    obs_incr("louvain.backend.vectorized")
+                except Exception:
+                    if backend == "vectorized":
+                        raise
+                    obs_incr("louvain.fallbacks")
+                    obs_incr("louvain.backend.python")
+                    result = run(rng_snapshot, _PythonBackend)
+        yield result
 
 
 def louvain(
@@ -672,26 +693,7 @@ def louvain(
     validate_backend(backend)
     if rng is None:
         rng = np.random.default_rng(0)
-    with span("community.louvain"):
-        obs_incr("louvain.runs")
-        if backend == "python":
-            obs_incr("louvain.backend.python")
-            return _run_louvain(graph, rng, refine, _PythonBackend)
-        # Snapshot the generator so a fallback replays the identical
-        # stream — the python rerun then produces the exact partition the
-        # vectorized run would have.
-        rng_snapshot = copy.deepcopy(rng)
-        try:
-            fault_point("compute.louvain")
-            result = _run_louvain(graph, rng, refine, _VectorizedBackend)
-            obs_incr("louvain.backend.vectorized")
-            return result
-        except Exception:
-            if backend == "vectorized":
-                raise
-            obs_incr("louvain.fallbacks")
-            obs_incr("louvain.backend.python")
-            return _run_louvain(graph, rng_snapshot, refine, _PythonBackend)
+    return next(_louvain_runs(graph, [rng], refine, backend))
 
 
 def _refine_levels(
@@ -709,9 +711,7 @@ def _refine_levels(
     """
     for li in range(len(levels) - 2, -1, -1):
         # Assignment of level-li nodes implied by the coarser levels.
-        node2com = ops.copy_assignment(levels[li])
-        for upper in levels[li + 1 :]:
-            node2com = ops.compose(node2com, upper)
+        node2com = ops.partition(levels[li:], graphs[li].num_nodes)
         ops.one_level(graphs[li], node2com, rng)
         node2com, _num = ops.renumber(node2com)
         # Collapse everything above level li into this single refined level.
@@ -738,12 +738,12 @@ def best_louvain_clustering(
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     validate_backend(backend)
-    seeds = np.random.SeedSequence(seed).spawn(runs)
+    rngs = (
+        np.random.default_rng(child)
+        for child in np.random.SeedSequence(seed).spawn(runs)
+    )
     best: Optional[LouvainResult] = None
-    for child in seeds:
-        result = louvain(
-            graph, rng=np.random.default_rng(child), refine=refine, backend=backend
-        )
+    for result in _louvain_runs(graph, rngs, refine, backend):
         if best is None or result.modularity > best.modularity:
             best = result
     assert best is not None

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,8 +35,9 @@ from repro.exceptions import ExperimentError
 from repro.experiments.engine import SweepEngine, validate_engine
 from repro.experiments.evaluation import EvaluationContext, evaluate_factory
 from repro.graph.social_graph import SocialGraph
-from repro.metrics.errors import approximation_error, expected_perturbation_error
+from repro.metrics.errors import _approximation_error, expected_perturbation_error
 from repro.similarity.base import SimilarityCache, SimilarityMeasure
+from repro.types import ItemId
 
 __all__ = [
     "ClusteringAblationCell",
@@ -209,6 +210,7 @@ def run_error_decomposition(
 
     rows: List[ErrorDecompositionRow] = []
     for name, clustering in strategies.items():
+        averages: Dict[Tuple[int, ItemId], float] = {}
         approx: List[float] = []
         perturb: List[float] = []
         for user in users:
@@ -219,8 +221,8 @@ def run_error_decomposition(
             for item in items:
                 approx.append(
                     abs(
-                        approximation_error(
-                            row, dataset.preferences, clustering, item
+                        _approximation_error(
+                            row, dataset.preferences, clustering, item, averages
                         )
                     )
                 )

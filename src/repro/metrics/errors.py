@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Tuple
 
 from repro.community.clustering import Clustering
 from repro.graph.preference_graph import PreferenceGraph
@@ -65,6 +65,22 @@ def approximation_error(
     Users in the similarity row that the clustering does not cover are
     ignored (they cannot contribute to a cluster-based estimate).
     """
+    return _approximation_error(similarity_row, preferences, clustering, item, {})
+
+
+def _approximation_error(
+    similarity_row: Mapping[UserId, float],
+    preferences: PreferenceGraph,
+    clustering: Clustering,
+    item: ItemId,
+    averages: Dict[Tuple[int, ItemId], float],
+) -> float:
+    """:func:`approximation_error` with ``c_bar`` memoised in ``averages``.
+
+    ``averages`` maps ``(cluster, item)`` to the noise-free cluster
+    average; callers evaluating many (user, item) pairs on one preference
+    graph and clustering share one dict, so each average is computed once.
+    """
     per_cluster_sim: Dict[int, float] = {}
     per_cluster_weighted: Dict[int, float] = {}
     for v, score in similarity_row.items():
@@ -77,7 +93,11 @@ def approximation_error(
         )
     error = 0.0
     for c, sim_sum in per_cluster_sim.items():
-        c_bar = _cluster_average(preferences, clustering, c, item)
+        c_bar = averages.get((c, item))
+        if c_bar is None:
+            c_bar = averages[(c, item)] = _cluster_average(
+                preferences, clustering, c, item
+            )
         error += per_cluster_weighted[c] - sim_sum * c_bar
     return error
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache.keys import (
+    _tagged_graph_fingerprint,
     graph_fingerprint,
     measure_fingerprint,
     similarity_cache_key,
@@ -14,6 +15,9 @@ from repro.similarity.graph_distance import GraphDistance
 from repro.similarity.katz import Katz
 
 EDGES = [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5)]
+# Keys of SocialGraph(EDGES) as earlier versions computed and persisted them.
+EDGES_FINGERPRINT = "789e4cfaf0ae86e1f5169462363dd84e5b2fb5644d50e59b04947786a3d443d1"
+EDGES_KATZ_KEY = "fbc5e46314135ec4395d7804db4ec360ce184c50ede5fd6b48a8f218cb8e3fed"
 
 
 class TestGraphFingerprint:
@@ -56,6 +60,50 @@ class TestGraphFingerprint:
         graph = SocialGraph([((1, 2), (3, 4))])  # tuple ids: valid graph,
         with pytest.raises(TypeError):  # but not content-addressable
             graph_fingerprint(graph)
+
+
+class TestIntGraphFastPath:
+    """All-int graphs hash through numpy; the bytes must not change."""
+
+    @pytest.mark.parametrize(
+        "edges, extra_users",
+        [
+            ([(0, 1), (1, 2), (0, 2), (2, 3)], []),  # contiguous 0..n-1
+            (EDGES, []),  # starts at 1
+            ([(5, 9), (-3, 2), (100, 7), (9, -3)], []),  # sparse, negative
+            (EDGES, [99, 0, 42]),  # isolated users
+            ([], [3, 1, 2]),  # edgeless
+            ([], [0, 1, 2]),  # edgeless, contiguous
+            ([], []),  # empty
+        ],
+        ids=[
+            "contiguous",
+            "offset",
+            "sparse",
+            "isolated",
+            "edgeless",
+            "edgeless-contiguous",
+            "empty",
+        ],
+    )
+    def test_digest_equals_the_tagged_path(self, edges, extra_users):
+        graph = SocialGraph(edges)
+        graph.add_users(extra_users)
+        assert graph_fingerprint(graph) == _tagged_graph_fingerprint(
+            graph, graph.users()
+        )
+
+    def test_ids_beyond_int64_take_the_tagged_path(self):
+        graph = SocialGraph([(2**70, 1), (1, 2)])
+        assert graph_fingerprint(graph) == _tagged_graph_fingerprint(
+            graph, graph.users()
+        )
+
+    def test_existing_keys_keep_hitting(self):
+        """Digests persisted by earlier versions stay valid cache keys."""
+        graph = SocialGraph(EDGES)
+        assert graph_fingerprint(graph) == EDGES_FINGERPRINT
+        assert similarity_cache_key(graph, Katz()) == EDGES_KATZ_KEY
 
 
 class TestMeasureFingerprint:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.experiments.ablation as ablation
 from repro.experiments.ablation import (
     build_strategy_clusterings,
     run_clustering_ablation,
@@ -9,6 +10,7 @@ from repro.experiments.ablation import (
     run_refinement_ablation,
 )
 from repro.similarity.common_neighbors import CommonNeighbors
+from tests.metrics.test_errors import per_call_approximation_error
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +102,32 @@ class TestErrorDecomposition:
             seed=0,
         )
         assert {r.strategy for r in rows} == set(strategies)
+
+    def test_shared_averages_match_the_per_call_formula(
+        self, lastfm_small, strategies, monkeypatch
+    ):
+        def run():
+            return run_error_decomposition(
+                lastfm_small,
+                CommonNeighbors(),
+                epsilon=0.1,
+                max_users=15,
+                max_items=8,
+                strategies=strategies,
+                seed=0,
+            )
+
+        def per_call(row, prefs, clustering, item, averages):
+            return per_call_approximation_error(row, prefs, clustering, item)
+
+        rows = run()
+        monkeypatch.setattr(ablation, "_approximation_error", per_call)
+        for fast, slow in zip(rows, run()):
+            assert fast.strategy == slow.strategy
+            assert fast.mean_abs_approximation == pytest.approx(
+                slow.mean_abs_approximation, abs=1e-12
+            )
+            assert fast.mean_expected_perturbation == slow.mean_expected_perturbation
 
     def test_the_tradeoff_is_visible(self, lastfm_small, strategies):
         """Singletons: zero approximation error, huge perturbation error.

@@ -1,6 +1,7 @@
 """Unit tests for the Eq. 5/6 error decomposition."""
 
 import math
+import random
 
 import pytest
 
@@ -8,9 +9,28 @@ from repro.community.clustering import Clustering
 from repro.graph.preference_graph import PreferenceGraph
 from repro.metrics.errors import (
     ErrorDecomposition,
+    _approximation_error,
     approximation_error,
     expected_perturbation_error,
 )
+
+
+def per_call_approximation_error(row, preferences, clustering, item):
+    """Eq. 6 evaluated per call: every cluster average recomputed."""
+    sim = {}
+    weighted = {}
+    for v, score in row.items():
+        if v not in clustering:
+            continue
+        c = clustering.cluster_of(v)
+        sim[c] = sim.get(c, 0.0) + score
+        weighted[c] = weighted.get(c, 0.0) + score * preferences.weight(v, item)
+    error = 0.0
+    for c, sim_sum in sim.items():
+        members = clustering.members_of(c)
+        c_bar = sum(preferences.weight(v, item) for v in members) / len(members)
+        error += weighted[c] - sim_sum * c_bar
+    return error
 
 
 @pytest.fixture
@@ -122,3 +142,33 @@ class TestDecomposition:
             row, prefs, Clustering([[1], [2], [3], [4]]), "a", eps
         )
         assert big.expected_total < singleton.expected_total
+
+
+class TestSharedAverages:
+    def test_one_table_across_calls_matches_the_per_call_formula(self):
+        """Many (user, item) estimates sharing one average table give the
+        per-call values, on a weighted graph with unclustered users."""
+        rnd = random.Random(3)
+        users = list(range(40))
+        items = [f"i{k}" for k in range(6)]
+        prefs = PreferenceGraph()
+        prefs.add_users(users)
+        for item in items:
+            prefs.add_item(item)
+        for _ in range(120):
+            prefs.add_edge(
+                rnd.choice(users), rnd.choice(items), rnd.choice([0.3, 1.0, 2.5])
+            )
+        clustering = Clustering([users[k : k + 7] for k in range(0, 35, 7)])
+        averages = {}
+        for user in users:
+            row = {v: rnd.random() for v in rnd.sample(users, 12) if v != user}
+            for item in items:
+                expected = per_call_approximation_error(row, prefs, clustering, item)
+                shared = _approximation_error(row, prefs, clustering, item, averages)
+                alone = approximation_error(row, prefs, clustering, item)
+                assert shared == pytest.approx(expected, abs=1e-12)
+                assert alone == pytest.approx(expected, abs=1e-12)
+        assert set(averages) <= {
+            (c, item) for c in range(clustering.num_clusters) for item in items
+        }

@@ -6,13 +6,24 @@ backend must reproduce them (rows within 1e-9, partitions exactly) on
 arbitrary graphs, not just the fixtures.
 """
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.community.louvain import louvain
+from repro.community.louvain import (
+    _PythonBackend,
+    _VectorizedBackend,
+    best_louvain_clustering,
+    louvain,
+)
 from repro.compute.kernels import build_kernel
+from repro.graph.bigcsr import bigcsr_from_social_graph
+from repro.graph.generators import planted_partition_graph
+from repro.graph.social_graph import SocialGraph
+from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.similarity.adamic_adar import AdamicAdar
 from repro.similarity.common_neighbors import CommonNeighbors
 from repro.similarity.graph_distance import GraphDistance
@@ -72,3 +83,88 @@ class TestLouvainEquivalence:
         assert vec.clustering.assignment() == ref.clustering.assignment()
         assert vec.modularity == ref.modularity
         assert vec.num_levels == ref.num_levels
+
+    @given(
+        graph=social_graphs(max_users=16, max_extra_edges=30),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_best_of_runs_identical(self, graph, seed):
+        _assert_same_best(graph, seed)
+
+    def test_best_of_runs_identical_on_shuffled_str_ids(self):
+        """Node order follows insertion, not id order: relabelled str ids
+        inserted in a shuffled order still partition identically."""
+        rng = np.random.default_rng(3)
+        planted = planted_partition_graph([12, 15, 10, 13], 0.4, 0.04, rng)
+        rnd = random.Random(11)
+        users = [f"user-{u}" for u in planted.users()]
+        rnd.shuffle(users)
+        edges = []
+        for u, v in planted.edges():
+            pair = (f"user-{u}", f"user-{v}")
+            edges.append(pair if rnd.random() < 0.5 else pair[::-1])
+        rnd.shuffle(edges)
+        graph = SocialGraph()
+        graph.add_users(users)
+        for u, v in edges:
+            graph.add_edge(u, v)
+        _assert_same_best(graph, 5)
+
+    def test_best_of_runs_identical_on_bigcsr(self, tmp_path):
+        rng = np.random.default_rng(8)
+        social = planted_partition_graph([15, 20, 12], 0.35, 0.03, rng)
+        big = bigcsr_from_social_graph(social, directory=str(tmp_path))
+        reference = _assert_same_best(big, 2)
+        in_memory = best_louvain_clustering(social, runs=3, seed=2)
+        assert reference.clustering.assignment() == in_memory.clustering.assignment()
+
+    def test_best_of_runs_converts_the_graph_once(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        graph = planted_partition_graph([10, 10, 10], 0.4, 0.05, rng)
+        calls = {"vectorized": 0, "python": 0}
+        for backend in (_VectorizedBackend, _PythonBackend):
+            convert = backend.from_social
+
+            def counted(g, _convert=convert, _name=backend.name):
+                calls[_name] += 1
+                return _convert(g)
+
+            monkeypatch.setattr(backend, "from_social", staticmethod(counted))
+        best_louvain_clustering(graph, runs=10, seed=0)
+        assert calls == {"vectorized": 1, "python": 0}
+        best_louvain_clustering(graph, runs=10, seed=0, backend="python")
+        assert calls == {"vectorized": 1, "python": 1}
+
+    @pytest.mark.faults
+    def test_fallback_on_one_restart_keeps_the_best(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        graph = planted_partition_graph([12, 12, 12, 12], 0.35, 0.05, rng)
+        expected = best_louvain_clustering(graph, runs=4, seed=6, backend="python")
+        conversions = []
+        convert = _PythonBackend.from_social
+
+        def counted(g):
+            conversions.append(g)
+            return convert(g)
+
+        monkeypatch.setattr(_PythonBackend, "from_social", staticmethod(counted))
+        plan = FaultPlan([FaultSpec(site="compute.louvain", on_call=2)])
+        with plan.installed():
+            degraded = best_louvain_clustering(graph, runs=4, seed=6, backend="auto")
+        assert plan.calls_to("compute.louvain") == 4
+        assert plan.fired == ["compute.louvain#2:raise"]
+        assert len(conversions) == 1  # only the restart that fell back
+        assert degraded.clustering.assignment() == expected.clustering.assignment()
+        assert degraded.modularity == expected.modularity
+        assert degraded.num_levels == expected.num_levels
+
+
+def _assert_same_best(graph, seed):
+    """Best-of-3 on both backends: same partition, modularity and levels."""
+    ref = best_louvain_clustering(graph, runs=3, seed=seed, backend="python")
+    vec = best_louvain_clustering(graph, runs=3, seed=seed, backend="vectorized")
+    assert vec.clustering.assignment() == ref.clustering.assignment()
+    assert vec.modularity == ref.modularity
+    assert vec.num_levels == ref.num_levels
+    return vec
