@@ -53,7 +53,6 @@ class TestClusteringCost:
         result = benchmark(
             lambda: best_louvain_clustering(lastfm_bench.social, runs=10, seed=0)
         )
-        assert result.backend == "vectorized"
         assert result.clustering.num_clusters > 1
 
 

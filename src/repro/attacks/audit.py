@@ -159,7 +159,6 @@ class AuditReport:
     seed: int
     trials: int
     repeats: int
-    backend: str
     sentinel: float
     cells: Tuple[AuditCell, ...]
 
@@ -188,7 +187,6 @@ class AuditReport:
                 "seed": self.seed,
                 "trials": self.trials,
                 "repeats": self.repeats,
-                "backend": self.backend,
                 "sentinel": self.sentinel,
             },
             "cells": [cell.to_jsonable() for cell in self.cells],
@@ -424,7 +422,6 @@ def run_privacy_audit(
     trials: int = 1000,
     repeats: int = 3,
     seed: int = 0,
-    backend: str = "auto",
     store=None,
     victim: Optional[UserId] = None,
     item: Optional[ItemId] = None,
@@ -442,8 +439,6 @@ def run_privacy_audit(
         repeats: fresh releases scored by the reconstruction attack
             (private target only; deployed targets are deterministic).
         seed: master seed — the entire report is a pure function of it.
-        backend: similarity/averages compute backend
-            (``auto | vectorized | python``).
         store: optional :class:`~repro.cache.store.SimilarityStore` for
             kernel reuse across audits.
         victim / item: override the attacked edge (default: chosen
@@ -473,18 +468,12 @@ def run_privacy_audit(
 
         with span("attacks.clustering"):
             clustering = covering_clustering(
-                louvain_strategy(runs=louvain_runs, seed=seed, backend=backend)(
-                    attacked_graph
-                ),
+                louvain_strategy(runs=louvain_runs, seed=seed)(attacked_graph),
                 preferences_with,
             )
         with span("attacks.averages"):
-            averages_with = cluster_item_averages(
-                preferences_with, clustering, backend=backend
-            )
-            averages_without = cluster_item_averages(
-                preferences_without, clustering, backend=backend
-            )
+            averages_with = cluster_item_averages(preferences_with, clustering)
+            averages_without = cluster_item_averages(preferences_without, clustering)
         items = averages_with.items
         positives = victim_edge_mask(preferences_with, victim, items)
 
@@ -500,13 +489,9 @@ def run_privacy_audit(
                 unit_laplace_draws(stream_without, trials),
                 unit_laplace_draws(stream_with, trials),
             )
-            # The observer's profile row; the store is skipped under the
-            # python backend so its kernel is never a vectorised one.
+            # The observer's profile row.
             kernel = profile_kernel(
-                attacked_graph,
-                get_measure(measure_name),
-                store=store if backend != "python" else None,
-                backend=backend,
+                attacked_graph, get_measure(measure_name), store=store
             )
             sim_vector = cluster_profile(kernel, clustering).row(observer)
             repeat_streams = recon_root.spawn(len(epsilons) * repeats)
@@ -567,7 +552,6 @@ def run_privacy_audit(
             seed=seed,
             trials=trials,
             repeats=repeats,
-            backend=backend,
             sentinel=EPS_SENTINEL,
             cells=tuple(cells),
         )

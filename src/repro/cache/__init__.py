@@ -26,7 +26,6 @@ from repro.cache.store import (
     CacheStats,
     SimilarityStore,
     load_kernel_artifact,
-    open_kernel_csr,
     save_kernel_artifact,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "graph_fingerprint",
     "load_kernel_artifact",
     "measure_fingerprint",
-    "open_kernel_csr",
     "save_kernel_artifact",
     "similarity_cache_key",
 ]

@@ -13,13 +13,12 @@ each kernel as a single ``.npz`` artifact:
   embedded and verified on load (the idiom of
   :mod:`repro.core.persistence`, format v2); corruption means *recompute*,
   never a crash and never wrong results;
-- **atomic** — written to a sibling temp file, fsynced, then
-  ``os.replace``d into place, so a crash leaves either the old artifact
-  or none;
-- **memory-mappable** — arrays are stored uncompressed, and
-  :func:`open_kernel_csr` maps them straight out of the zip container so
-  pool workers share one page-cache copy instead of each re-reading (or
-  worse, recomputing) the kernel.
+- **atomic** — written through
+  :func:`~repro.resilience.atomic.atomic_write` (sibling temp file,
+  fsync, ``os.replace``, directory fsync), so a crash leaves either the
+  old artifact or none;
+- **uncompressed** — arrays are stored, not deflated, so a load pays no
+  inflate cost; kernels are sparse enough that the size cost is small.
 
 :class:`SimilarityStore` fronts the directory with a small in-memory LRU
 and hit/miss/eviction counters (:class:`CacheStats`).
@@ -30,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
@@ -46,6 +44,7 @@ from repro.cache.keys import (
 from repro.exceptions import CacheIntegrityError
 from repro.graph.protocol import GraphLike
 from repro.obs.registry import incr as obs_incr
+from repro.resilience.atomic import atomic_write
 from repro.resilience.faults import fault_point
 from repro.similarity.base import SimilarityMeasure
 from repro.similarity.matrix import SimilarityMatrix
@@ -56,7 +55,6 @@ __all__ = [
     "CacheStats",
     "SimilarityStore",
     "load_kernel_artifact",
-    "open_kernel_csr",
     "save_kernel_artifact",
 ]
 
@@ -81,9 +79,9 @@ def save_kernel_artifact(
 ) -> None:
     """Atomically write ``matrix`` as a checksummed kernel artifact.
 
-    The arrays are stored *uncompressed* (``np.savez``) so loaders can
-    memory-map them in place; similarity kernels are sparse enough that
-    the size cost is small next to the recompute cost they avoid.
+    The arrays are stored *uncompressed* (``np.savez``); similarity
+    kernels are sparse enough that the size cost is small next to the
+    recompute cost they avoid.
 
     Raises:
         OSError: for IO failures while writing.
@@ -100,24 +98,18 @@ def save_kernel_artifact(
         }
     ).encode("utf-8")
     checksum = _buffer_digest(csr.data, csr.indices, csr.indptr, payload)
-    tmp_path = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp_path, "wb") as handle:
-            np.savez(
-                handle,
-                data=csr.data,
-                indices=csr.indices,
-                indptr=csr.indptr,
-                metadata=np.frombuffer(payload, dtype=np.uint8),
-                checksum=np.frombuffer(checksum.encode("ascii"), dtype=np.uint8),
-            )
-            handle.flush()
-            os.fsync(handle.fileno())
-        fault_point("cache.save.pre-replace", path=tmp_path)
-        os.replace(tmp_path, path)
-    finally:
-        if os.path.exists(tmp_path):
-            os.remove(tmp_path)
+    atomic_write(
+        path,
+        lambda handle: np.savez(
+            handle,
+            data=csr.data,
+            indices=csr.indices,
+            indptr=csr.indptr,
+            metadata=np.frombuffer(payload, dtype=np.uint8),
+            checksum=np.frombuffer(checksum.encode("ascii"), dtype=np.uint8),
+        ),
+        fault_site="cache.save.pre-replace",
+    )
 
 
 def _read_kernel_arrays(path: str):
@@ -191,76 +183,6 @@ def load_kernel_artifact(path: str) -> Tuple[SimilarityMatrix, dict]:
             f"cache artifact {path!r} has inconsistent dimensions: {exc}"
         ) from exc
     return matrix, metadata
-
-
-def _member_memmap(path: str, name: str) -> Optional[np.ndarray]:
-    """Memory-map one uncompressed ``.npy`` member of a zip archive.
-
-    Returns None when the member is compressed or otherwise unmappable,
-    in which case the caller falls back to a regular read.
-    """
-    try:
-        with zipfile.ZipFile(path) as archive:
-            info = archive.getinfo(name)
-            if info.compress_type != zipfile.ZIP_STORED:
-                return None
-            with open(path, "rb") as handle:
-                handle.seek(info.header_offset)
-                local_header = handle.read(30)
-                if len(local_header) != 30 or local_header[:4] != b"PK\x03\x04":
-                    return None
-                name_length = int.from_bytes(local_header[26:28], "little")
-                extra_length = int.from_bytes(local_header[28:30], "little")
-                handle.seek(info.header_offset + 30 + name_length + extra_length)
-                version = np.lib.format.read_magic(handle)
-                if version == (1, 0):
-                    shape, fortran, dtype = np.lib.format.read_array_header_1_0(handle)
-                elif version == (2, 0):
-                    shape, fortran, dtype = np.lib.format.read_array_header_2_0(handle)
-                else:
-                    return None
-                if dtype.hasobject:
-                    return None
-                offset = handle.tell()
-        return np.memmap(
-            path,
-            dtype=dtype,
-            shape=shape,
-            order="F" if fortran else "C",
-            mode="r",
-            offset=offset,
-        )
-    except (OSError, KeyError, ValueError):
-        return None
-
-
-def open_kernel_csr(path: str) -> sp.csr_matrix:
-    """Open an artifact's CSR matrix, memory-mapping the buffers in place.
-
-    Pool workers use this instead of :func:`load_kernel_artifact`: the
-    arrays stay on disk (shared through the page cache across workers)
-    and no checksum pass is paid — integrity was verified by the parent
-    when it produced or first loaded the artifact.  Falls back to a
-    regular verified load when mapping is not possible.
-
-    Raises:
-        CacheIntegrityError / OSError: as :func:`load_kernel_artifact`
-            (fallback path only).
-    """
-    data = _member_memmap(path, "data.npy")
-    indices = _member_memmap(path, "indices.npy")
-    indptr = _member_memmap(path, "indptr.npy")
-    if data is not None and indices is not None and indptr is not None:
-        try:
-            # NpzFile reads members lazily, so this touches only the
-            # small metadata vector, not the mapped buffers.
-            with np.load(path) as archive:
-                shape = tuple(json.loads(bytes(archive["metadata"]))["shape"])
-        except Exception:
-            shape = (indptr.shape[0] - 1, indptr.shape[0] - 1)
-        return sp.csr_matrix((data, indices, indptr), shape=shape, copy=False)
-    matrix, _ = load_kernel_artifact(path)
-    return matrix.matrix
 
 
 @dataclass

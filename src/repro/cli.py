@@ -230,13 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persist/reuse similarity kernels in this directory "
         "(vectorized engine only)",
     )
-    p_trade.add_argument(
-        "--backend",
-        choices=("auto", "vectorized", "python"),
-        default="auto",
-        help="kernel construction backend (default: auto — vectorised "
-        "when supported, python fallback on failure)",
-    )
     _add_profile_argument(p_trade)
 
     p_degree = sub.add_parser("degree-effect", help="Figure 3 degree analysis")
@@ -290,9 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="reconstruction releases per private cell (default: 3)",
     )
     p_audit.add_argument("--louvain-runs", type=_positive_int, default=5)
-    p_audit.add_argument(
-        "--backend", choices=("auto", "vectorized", "python"), default="auto"
-    )
     p_audit.add_argument(
         "--cache-dir", default=None,
         help="persistent similarity-kernel store directory",
@@ -374,13 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="persist/reuse similarity kernels in this directory",
     )
-    p_batch.add_argument(
-        "--backend",
-        choices=("auto", "vectorized", "python"),
-        default="auto",
-        help="kernel construction backend (default: auto — vectorised "
-        "when supported, python fallback on failure)",
-    )
     _add_profile_argument(p_batch)
 
     p_cache = sub.add_parser(
@@ -412,12 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache_warm.add_argument(
         "--measures", nargs="+", default=["cn", "aa", "gd", "kz"],
         help="similarity measures to warm (default: cn aa gd kz)",
-    )
-    p_cache_warm.add_argument(
-        "--backend",
-        choices=("auto", "vectorized", "python"),
-        default="auto",
-        help="kernel construction backend (default: auto)",
     )
     _add_profile_argument(p_cache_warm)
 
@@ -484,12 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep_submit.add_argument(
         "--engine", choices=ENGINES, default="vectorized",
         help="sweep engine workers run cells with (default: vectorized)",
-    )
-    p_sweep_submit.add_argument(
-        "--backend",
-        choices=("auto", "vectorized", "python"),
-        default="auto",
-        help="kernel construction backend (default: auto)",
     )
     p_sweep_submit.add_argument(
         "--max-attempts",
@@ -775,7 +746,6 @@ def _cmd_tradeoff(args: argparse.Namespace) -> int:
         engine=args.engine,
         workers=args.workers,
         store=store,
-        backend=args.backend,
     )
     for n in args.ns:
         print(format_tradeoff_table(cells, n))
@@ -908,7 +878,6 @@ def _cmd_attack_audit(args: argparse.Namespace) -> int:
         trials=args.trials,
         repeats=args.repeats,
         seed=args.seed,
-        backend=args.backend,
         store=store,
         louvain_runs=args.louvain_runs,
     )
@@ -1133,7 +1102,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         store=store,
         workers=args.workers,
         shard_size=args.shard_size,
-        backend=args.backend,
     )
     stats = results.stats
     shard_ms = [f"{s * 1000:.0f}" for s in stats.shard_seconds]
@@ -1167,14 +1135,11 @@ def _format_compute_stats(compute) -> str:
         for stage, seconds in compute.stage_seconds.items()
     )
     line = (
-        f"compute:     backend={compute.backend} "
-        f"(requested {compute.requested}), "
+        f"compute:     backend={compute.backend}, "
         f"{compute.rows} rows at {compute.rows_per_second:,.0f} rows/s"
     )
     if compute.blocks:
         line += f", {compute.blocks} block(s) x {compute.workers} worker(s)"
-    if compute.fallbacks:
-        line += f", {compute.fallbacks} fallback(s)"
     if stages:
         line += f" [{stages}]"
     return line
@@ -1224,22 +1189,22 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     import time as _time
 
     from repro.compute.stats import ComputeStats
-    from repro.core.batch import compute_similarity_kernel, supports_vectorised_measure
+    from repro.compute.kernels import supports_vectorized_kernel
+    from repro.core.batch import compute_similarity_kernel
 
     dataset = _resolve_dataset(args)
-    backend = getattr(args, "backend", "auto")
     for name in args.measures:
         measure = get_measure(name)
-        if not supports_vectorised_measure(measure):
+        if not supports_vectorized_kernel(measure):
             print(f"{name}: skipped (no vectorised kernel)")
             continue
-        compute_stats = ComputeStats(requested=backend)
+        compute_stats = ComputeStats()
         start = _time.perf_counter()
         lookup = store.warm(
             dataset.social,
             measure,
             lambda m=measure: compute_similarity_kernel(
-                dataset.social, m, backend=backend, stats=compute_stats
+                dataset.social, m, stats=compute_stats
             ),
         )
         elapsed = _time.perf_counter() - start
@@ -1334,7 +1299,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             louvain_runs=args.louvain_runs,
             seed=args.seed,
             engine=args.engine,
-            backend=args.backend,
             max_attempts=args.max_attempts,
         )
         queue = submit_tradeoff_sweep(args.queue, spec)

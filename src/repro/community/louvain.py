@@ -16,32 +16,27 @@ The paper runs Louvain 10 times with different random node orderings and
 keeps the most modular result; :func:`best_louvain_clustering` packages
 that protocol.
 
-Two interchangeable backends drive the same level loop:
-
-- ``python`` — the original dict-of-dicts implementation below, kept as
-  the semantic reference;
-- ``vectorized`` — the same algorithm on flat numpy arrays (CSR-style
-  ``indptr``/``indices``/``weights``, a node→community vector, community
-  weight accumulators).  Tie-breaking is replicated exactly — candidate
-  communities are visited in first-appearance order and compared with the
-  same ``> best + 1e-12`` rule — and every edge weight in the hierarchy
-  is an integer-valued float (sums of 1.0), so all gain arithmetic is
-  exact and the two backends produce **identical partitions** for the
-  same rng (property-tested).  ``backend="auto"`` (the default) runs
-  vectorized and falls back to python on any failure, replaying the same
-  rng stream.
+The algorithm runs on flat numpy arrays (CSR-style
+``indptr``/``indices``/``weights``, a node→community vector, community
+weight accumulators).  Its semantic reference is a dict-of-dicts
+implementation kept as a test oracle (``tests/oracles/louvain_dict.py``),
+which drives the same level loop through its own dispatch table.
+Tie-breaking is replicated exactly — candidate communities are visited in
+first-appearance order and compared with the same ``> best + 1e-12`` rule
+— and every edge weight in the hierarchy is an integer-valued float (sums
+of 1.0), so all gain arithmetic is exact and the two produce **identical
+partitions** for the same rng (property-tested).
 
 A call converts the graph once, and every restart of
 :func:`best_louvain_clustering` reuses that base graph: runs change only
-their node→community vectors.  The vectorized base comes from the graph's
-shared CSR export, and each flat graph caches its per-node neighbor runs
-as builtin lists for the sequential move scan; on unit-weight levels that
-scan counts neighbor communities as integers.
+their node→community vectors.  The base comes from the graph's shared CSR
+export, and each flat graph caches its per-node neighbor runs as builtin
+lists for the sequential move scan; on unit-weight levels that scan counts
+neighbor communities as integers.
 """
 
 from __future__ import annotations
 
-import copy
 from collections import _count_elements  # the C counter behind Counter.update
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -51,11 +46,9 @@ import numpy as np
 from repro.community.clustering import Clustering
 from repro.community.modularity import modularity
 from repro.compute.adjacency import adjacency_csr
-from repro.compute.stats import validate_backend
 from repro.graph.protocol import GraphLike
 from repro.obs.registry import incr as obs_incr
 from repro.obs.spans import span
-from repro.resilience.faults import fault_point
 from repro.types import UserId
 
 __all__ = ["louvain", "best_louvain_clustering", "LouvainResult"]
@@ -64,197 +57,13 @@ __all__ = ["louvain", "best_louvain_clustering", "LouvainResult"]
 _MIN_LEVEL_GAIN = 1e-7
 
 
-class _AggregateGraph:
-    """Weighted graph used internally across Louvain's aggregation levels.
-
-    Nodes are integers.  ``adjacency[u][v]`` is the weight between distinct
-    nodes; ``loops[u]`` is the self-loop weight (internal weight of a
-    collapsed community).  ``total_weight`` is the sum of all edge weights,
-    counting each undirected edge once and each loop once.
-    """
-
-    __slots__ = ("adjacency", "loops", "total_weight")
-
-    def __init__(self, num_nodes: int) -> None:
-        self.adjacency: List[Dict[int, float]] = [{} for _ in range(num_nodes)]
-        self.loops: List[float] = [0.0] * num_nodes
-        self.total_weight = 0.0
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.adjacency)
-
-    def add_edge(self, u: int, v: int, weight: float) -> None:
-        if u == v:
-            self.loops[u] += weight
-        else:
-            self.adjacency[u][v] = self.adjacency[u].get(v, 0.0) + weight
-            self.adjacency[v][u] = self.adjacency[v].get(u, 0.0) + weight
-        self.total_weight += weight
-
-    def weighted_degree(self, u: int) -> float:
-        """Degree counting loops twice (standard modularity convention)."""
-        return sum(self.adjacency[u].values()) + 2.0 * self.loops[u]
-
-    @classmethod
-    def from_social_graph(
-        cls, graph: GraphLike
-    ) -> Tuple["_AggregateGraph", List[UserId]]:
-        """Convert a social graph; returns the graph and the node-id order.
-
-        Edges are ingested in *canonical sorted order* regardless of how
-        the input representation iterates them.  The adjacency dicts'
-        insertion order decides modularity tie-breaks during local
-        moving, so without a canonical order the same graph stored as an
-        in-memory ``SocialGraph`` and as an mmap-backed ``BigCSRGraph``
-        could yield different partitions for the same seed.
-        """
-        users = graph.users()
-        index = {user: i for i, user in enumerate(users)}
-        agg = cls(len(users))
-        for u, v in sorted(
-            tuple(sorted((index[a], index[b]))) for a, b in graph.edges()
-        ):
-            agg.add_edge(u, v, 1.0)
-        return agg, users
-
-
-def _one_level(
-    graph: _AggregateGraph,
-    node2com: List[int],
-    rng: np.random.Generator,
-) -> bool:
-    """Run local moving until no node move improves modularity.
-
-    ``node2com`` is modified in place; returns True when at least one move
-    happened.
-    """
-    m = graph.total_weight
-    if m <= 0.0:
-        return False
-
-    # Community totals: sum of weighted degrees, maintained incrementally.
-    com_degree: Dict[int, float] = {}
-    for node in range(graph.num_nodes):
-        com = node2com[node]
-        com_degree[com] = com_degree.get(com, 0.0) + graph.weighted_degree(node)
-
-    order = np.arange(graph.num_nodes)
-    rng.shuffle(order)
-
-    moved_any = False
-    improved = True
-    while improved:
-        improved = False
-        for node in order:
-            node = int(node)
-            com = node2com[node]
-            k_i = graph.weighted_degree(node)
-            k_i_over_2m = k_i / (2.0 * m)
-
-            # Weight from `node` to each neighboring community.
-            links_to_com: Dict[int, float] = {}
-            for nbr, weight in graph.adjacency[node].items():
-                c = node2com[nbr]
-                links_to_com[c] = links_to_com.get(c, 0.0) + weight
-
-            # Remove the node from its community for the comparison.
-            com_degree[com] -= k_i
-            base = links_to_com.get(com, 0.0) - com_degree[com] * k_i_over_2m
-
-            best_com = com
-            best_gain = base
-            for c, dnc in links_to_com.items():
-                if c == com:
-                    continue
-                gain = dnc - com_degree.get(c, 0.0) * k_i_over_2m
-                if gain > best_gain + 1e-12:
-                    best_gain = gain
-                    best_com = c
-
-            com_degree[best_com] = com_degree.get(best_com, 0.0) + k_i
-            if best_com != com:
-                node2com[node] = best_com
-                improved = True
-                moved_any = True
-    return moved_any
-
-
-def _renumber(node2com: List[int]) -> Tuple[List[int], int]:
-    """Map community labels to 0..k-1 in order of first appearance."""
-    mapping: Dict[int, int] = {}
-    renumbered = []
-    for com in node2com:
-        if com not in mapping:
-            mapping[com] = len(mapping)
-        renumbered.append(mapping[com])
-    return renumbered, len(mapping)
-
-
-def _induced_graph(
-    graph: _AggregateGraph, node2com: List[int], num_coms: int
-) -> _AggregateGraph:
-    """Collapse each community into a super-node, summing edge weights."""
-    coarse = _AggregateGraph(num_coms)
-    for node in range(graph.num_nodes):
-        cu = node2com[node]
-        coarse.loops[cu] += graph.loops[node]
-        coarse.total_weight += graph.loops[node]
-        for nbr, weight in graph.adjacency[node].items():
-            if nbr < node:
-                continue  # count each undirected edge once
-            cv = node2com[nbr]
-            if cu == cv:
-                coarse.loops[cu] += weight
-                coarse.total_weight += weight
-            else:
-                coarse.adjacency[cu][cv] = coarse.adjacency[cu].get(cv, 0.0) + weight
-                coarse.adjacency[cv][cu] = coarse.adjacency[cv].get(cu, 0.0) + weight
-                coarse.total_weight += weight
-    return coarse
-
-
-def _flat_partition(levels: List[List[int]], num_base_nodes: int) -> List[int]:
-    """Compose per-level assignments into a base-node -> community map."""
-    assignment = list(range(num_base_nodes))
-    for level in levels:
-        assignment = [level[c] for c in assignment]
-    return assignment
-
-
-def _partition_modularity(base: _AggregateGraph, assignment: List[int]) -> float:
-    """Modularity of a base-node assignment on the internal weighted graph."""
-    m = base.total_weight
-    if m <= 0.0:
-        return 0.0
-    intra: Dict[int, float] = {}
-    deg: Dict[int, float] = {}
-    for node in range(base.num_nodes):
-        c = assignment[node]
-        deg[c] = deg.get(c, 0.0) + base.weighted_degree(node)
-        intra[c] = intra.get(c, 0.0) + base.loops[node]
-        for nbr, weight in base.adjacency[node].items():
-            if nbr < node:
-                continue
-            if assignment[nbr] == c:
-                intra[c] = intra.get(c, 0.0) + weight
-    q = 0.0
-    two_m = 2.0 * m
-    for c in deg:
-        q += intra.get(c, 0.0) / m - (deg[c] / two_m) ** 2
-    return q
-
-
-# ----------------------------------------------------------------------
-# vectorized backend: the same algorithm on flat numpy arrays
-# ----------------------------------------------------------------------
 class _FlatGraph:
-    """CSR-style weighted graph for the vectorized Louvain backend.
+    """CSR-style weighted graph across Louvain's aggregation levels.
 
     Per-node neighbor runs (``indices[indptr[u]:indptr[u+1]]``) keep the
-    exact insertion order of the dict-based :class:`_AggregateGraph`, so
+    exact insertion order of the dict-based oracle's adjacency, so
     first-appearance community iteration — the tie-breaking order — is
-    identical between backends.  A graph is never mutated once built, so
+    identical between the two.  A graph is never mutated once built, so
     restarts share it and its lazily built caches.
     """
 
@@ -323,8 +132,8 @@ class _FlatGraph:
 
         Built from the graph's shared CSR export, permuted into
         ``graph.users()`` order with sorted column indices.  Every
-        neighbor run is then ascending in node index: the order the python
-        backend's canonical sorted-edge ingest produces, for a
+        neighbor run is then ascending in node index: the order the dict
+        oracle's canonical sorted-edge ingest produces, for a
         ``SocialGraph`` and a mmap-backed ``BigCSRGraph`` alike.
         """
         users = graph.users()
@@ -347,22 +156,21 @@ def _one_level_flat(
     node2com: np.ndarray,
     rng: np.random.Generator,
 ) -> bool:
-    """Local moving over flat arrays; mirrors :func:`_one_level` move for move.
+    """Run local moving until no node move improves modularity.
 
-    The weighted-degree vector and the community-degree accumulator are
-    computed vectorised once (the dict version re-sums a node's adjacency
-    on *every* visit of every sweep — the single largest cost in the
-    reference implementation).  The sequential move scan itself runs over
+    ``node2com`` is modified in place; returns True when at least one move
+    happened.  The weighted-degree vector and the community-degree
+    accumulator are computed vectorised once.  The sequential move scan itself runs over
     the graph's cached builtin-list neighbor runs: local moving is
     inherently order-dependent, and element reads on lists avoid
     per-access numpy scalar boxing while holding the exact same float64
     values.
 
     Candidate communities are visited in first-appearance order over the
-    node's neighbor run — the order the dict version iterates
+    node's neighbor run — the order the dict oracle iterates
     ``links_to_com`` — and every link sum and community degree is an
     integer-valued float, so gains, comparisons, and therefore moves are
-    bit-identical to the python backend.  On a unit-weight graph the link
+    bit-identical to the oracle's.  On a unit-weight graph the link
     sums are integer counts: ``count - x`` equals ``float(count) - x``
     for every count below 2**53, so the gains are the same floats.
     """
@@ -427,7 +235,7 @@ def _one_level_flat(
 
 
 def _renumber_flat(node2com: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Vectorized first-appearance renumbering (matches :func:`_renumber`)."""
+    """Map community labels to 0..k-1 in order of first appearance."""
     uniq, first, inverse = np.unique(
         node2com, return_index=True, return_inverse=True
     )
@@ -443,9 +251,9 @@ def _induced_flat(
 
     Coarse neighbor runs are emitted in first appearance order of each
     inter-community pair over the fine-edge scan — the same insertion
-    order the dict version produces — and all weight sums are integer
+    order the dict oracle produces — and all weight sums are integer
     accumulations, so the coarse graph is indistinguishable from the
-    python backend's.
+    oracle's.
     """
     n = graph.num_nodes
     src = np.repeat(np.arange(n), np.diff(graph.indptr))
@@ -484,6 +292,7 @@ def _induced_flat(
 def _flat_partition_flat(
     levels: List[np.ndarray], num_base_nodes: int
 ) -> np.ndarray:
+    """Compose per-level assignments into a base-node -> community map."""
     assignment = np.arange(num_base_nodes, dtype=np.int64)
     for level in levels:
         assignment = level[assignment]
@@ -493,12 +302,11 @@ def _flat_partition_flat(
 def _partition_modularity_flat(
     base: _FlatGraph, assignment: np.ndarray
 ) -> float:
-    """Modularity on flat arrays, bit-equal to :func:`_partition_modularity`.
+    """Modularity of a base-node assignment, bit-equal to the dict oracle's.
 
     The per-community terms use exact integer sums; the final float
     accumulation visits communities in the same first-appearance order the
-    dict version iterates, so level-gain decisions never diverge between
-    backends.
+    oracle iterates, so level-gain decisions never diverge from it.
     """
     m = base.total_weight
     if m <= 0.0:
@@ -521,23 +329,9 @@ def _partition_modularity_flat(
     return q
 
 
-class _PythonBackend:
-    """Dispatch table for the reference dict-based implementation."""
+class _FlatOps:
+    """The level loop's dispatch table (the dict oracle supplies its own)."""
 
-    name = "python"
-    from_social = staticmethod(_AggregateGraph.from_social_graph)
-    one_level = staticmethod(_one_level)
-    renumber = staticmethod(_renumber)
-    induced = staticmethod(_induced_graph)
-    partition = staticmethod(_flat_partition)
-    partition_modularity = staticmethod(_partition_modularity)
-
-
-class _VectorizedBackend:
-    """Dispatch table for the flat-array implementation."""
-
-    name = "vectorized"
-    from_social = staticmethod(_FlatGraph.from_social_graph)
     one_level = staticmethod(_one_level_flat)
     renumber = staticmethod(_renumber_flat)
     induced = staticmethod(_induced_flat)
@@ -554,15 +348,12 @@ class LouvainResult:
         modularity: Q of the clustering on the input graph.
         num_levels: number of aggregation levels the run used.
         refined: whether multi-level refinement ran.
-        backend: which compute backend produced the result (``"python"``
-            or ``"vectorized"``; the partition is identical either way).
     """
 
     clustering: Clustering
     modularity: float
     num_levels: int
     refined: bool
-    backend: str = "python"
 
 
 def _run_louvain(
@@ -573,17 +364,17 @@ def _run_louvain(
     refine: bool,
     ops: Any,
 ) -> LouvainResult:
-    """The backend-generic level loop (Blondel et al. + Rotta–Noack).
+    """The level loop (Blondel et al. + Rotta–Noack) over dispatch table ``ops``.
 
-    ``base`` is ``graph`` converted by ``ops.from_social`` with node-id
-    order ``users``; the loop reads it and never mutates it.
+    ``base`` is ``graph`` converted to the graph type ``ops`` works on,
+    with node-id order ``users``; the loop reads it and never mutates it.
     """
     n = base.num_nodes
     if n == 0:
-        return LouvainResult(Clustering([]), 0.0, 0, refined=False, backend=ops.name)
+        return LouvainResult(Clustering([]), 0.0, 0, refined=False)
     if base.total_weight == 0.0:
         singletons = Clustering([[u] for u in users])
-        return LouvainResult(singletons, 0.0, 0, refined=False, backend=ops.name)
+        return LouvainResult(singletons, 0.0, 0, refined=False)
 
     graphs = [base]
     levels: List[Any] = []
@@ -616,7 +407,6 @@ def _run_louvain(
         modularity=modularity(graph, clustering),
         num_levels=len(levels),
         refined=refine and len(levels) > 1,
-        backend=ops.name,
     )
 
 
@@ -624,44 +414,20 @@ def _louvain_runs(
     graph: GraphLike,
     rngs: Iterable[np.random.Generator],
     refine: bool,
-    backend: str,
 ) -> Iterator[LouvainResult]:
     """One Louvain run per generator in ``rngs``, all on one conversion.
 
-    Each backend converts ``graph`` at most once, on its first run, and
-    every later run reuses that base graph.  Under ``auto`` each run falls
-    back to python on its own, replaying its generator's snapshot; the
-    python base is built only when a fallback actually runs.
+    ``graph`` is converted on the first run and every later run reuses
+    that base graph.
     """
-    converted: Dict[str, Tuple[Any, List[UserId]]] = {}
-
-    def run(rng: np.random.Generator, ops: Any) -> LouvainResult:
-        if ops.name not in converted:
-            converted[ops.name] = ops.from_social(graph)
-        base, users = converted[ops.name]
-        return _run_louvain(graph, base, users, rng, refine, ops)
-
+    converted: Optional[Tuple[_FlatGraph, List[UserId]]] = None
     for rng in rngs:
         with span("community.louvain"):
             obs_incr("louvain.runs")
-            if backend == "python":
-                obs_incr("louvain.backend.python")
-                result = run(rng, _PythonBackend)
-            else:
-                # Snapshot the generator so a fallback replays the
-                # identical stream — the python rerun then produces the
-                # exact partition the vectorized run would have.
-                rng_snapshot = copy.deepcopy(rng)
-                try:
-                    fault_point("compute.louvain")
-                    result = run(rng, _VectorizedBackend)
-                    obs_incr("louvain.backend.vectorized")
-                except Exception:
-                    if backend == "vectorized":
-                        raise
-                    obs_incr("louvain.fallbacks")
-                    obs_incr("louvain.backend.python")
-                    result = run(rng_snapshot, _PythonBackend)
+            if converted is None:
+                converted = _FlatGraph.from_social_graph(graph)
+            base, users = converted
+            result = _run_louvain(graph, base, users, rng, refine, _FlatOps)
         yield result
 
 
@@ -669,7 +435,6 @@ def louvain(
     graph: GraphLike,
     rng: Optional[np.random.Generator] = None,
     refine: bool = True,
-    backend: str = "auto",
 ) -> LouvainResult:
     """Detect communities in ``graph`` with the Louvain method.
 
@@ -679,28 +444,21 @@ def louvain(
             fresh seeded generator, so pass one for reproducibility).
         refine: run the Rotta–Noack multi-level refinement pass (the paper
             enables it).
-        backend: ``"auto"`` (vectorized, falling back to python on any
-            failure with the same rng stream), ``"vectorized"``, or
-            ``"python"``.  The partition does not depend on the choice.
 
     Returns:
         A :class:`LouvainResult`; for an edgeless graph every node becomes
         its own community.
-
-    Raises:
-        ValueError: for an unknown backend name.
     """
-    validate_backend(backend)
     if rng is None:
         rng = np.random.default_rng(0)
-    return next(_louvain_runs(graph, [rng], refine, backend))
+    return next(_louvain_runs(graph, [rng], refine))
 
 
 def _refine_levels(
     graphs: List[Any],
     levels: List[Any],
     rng: np.random.Generator,
-    ops: Any = _PythonBackend,
+    ops: Any,
 ) -> None:
     """Multi-level refinement: re-run local moving from coarse to fine.
 
@@ -724,26 +482,24 @@ def best_louvain_clustering(
     runs: int = 10,
     seed: int = 0,
     refine: bool = True,
-    backend: str = "auto",
 ) -> LouvainResult:
     """The paper's clustering protocol: best of ``runs`` Louvain restarts.
 
     Each run uses an independent random node ordering; the run with the
     highest modularity wins (ties keep the earliest run, so results are
-    deterministic in ``seed`` — and independent of ``backend``).
+    deterministic in ``seed``).
 
     Raises:
-        ValueError: if ``runs`` < 1 or the backend name is unknown.
+        ValueError: if ``runs`` < 1.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    validate_backend(backend)
     rngs = (
         np.random.default_rng(child)
         for child in np.random.SeedSequence(seed).spawn(runs)
     )
     best: Optional[LouvainResult] = None
-    for result in _louvain_runs(graph, rngs, refine, backend):
+    for result in _louvain_runs(graph, rngs, refine):
         if best is None or result.modularity > best.modularity:
             best = result
     assert best is not None

@@ -1,13 +1,11 @@
-"""Vectorised sparse compute backends for kernels and clustering.
+"""Vectorised sparse compute for kernels and clustering.
 
-``repro.compute`` is the construction-speed layer: it builds the same
-similarity kernels and Louvain partitions as the pure-python reference
-implementations, but on scipy CSR algebra and flat numpy arrays, with a
-``auto | vectorized | python`` backend switch threaded through
-:class:`~repro.similarity.base.SimilarityCache`, the recommenders,
-:func:`~repro.core.batch.batch_recommend_all`, and the CLI.  ``auto``
-degrades to the python path on any vectorised failure — the same
-never-wrong-only-slower ladder as the serving degradation machinery.
+``repro.compute`` is the construction-speed layer: it builds similarity
+kernels on scipy CSR algebra in bounded row blocks.  There is one path per
+measure, chosen from the measure itself: cn/aa/ra, Graph Distance and Katz
+l <= 3 take the blocked builders, every other measure the per-row
+:func:`python_kernel`.  The Louvain clustering runs on the same shared CSR
+export (:mod:`repro.community.louvain`).
 """
 
 from repro.compute.adjacency import (
@@ -19,13 +17,11 @@ from repro.compute.kernels import (
     DEFAULT_BLOCK_SIZE,
     build_kernel,
     python_kernel,
-    resolve_backend,
     supports_vectorized_kernel,
 )
-from repro.compute.stats import BACKENDS, ComputeStats, validate_backend
+from repro.compute.stats import ComputeStats
 
 __all__ = [
-    "BACKENDS",
     "CSRAdjacency",
     "ComputeStats",
     "DEFAULT_BLOCK_SIZE",
@@ -33,7 +29,5 @@ __all__ = [
     "build_kernel",
     "clear_adjacency_cache",
     "python_kernel",
-    "resolve_backend",
     "supports_vectorized_kernel",
-    "validate_backend",
 ]

@@ -39,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.compute.adjacency import CSRAdjacency, adjacency_csr
-from repro.compute.stats import ComputeStats, validate_backend
+from repro.compute.stats import ComputeStats
 from repro.exceptions import ReproError
 from repro.graph.protocol import GraphLike
 from repro.obs.adapters import publish_compute_stats
@@ -50,7 +50,6 @@ from repro.similarity.matrix import SimilarityMatrix
 __all__ = [
     "build_kernel",
     "python_kernel",
-    "resolve_backend",
     "supports_vectorized_kernel",
 ]
 
@@ -65,7 +64,7 @@ _BUDGET_BYTES_PER_ENTRY = 32
 
 
 # ----------------------------------------------------------------------
-# capability / backend resolution
+# capability
 # ----------------------------------------------------------------------
 def _kernel_params(measure: Any) -> Optional[Dict[str, Any]]:
     """The block-builder parameters for ``measure``, or None if unsupported.
@@ -98,23 +97,6 @@ def supports_vectorized_kernel(measure: Any) -> bool:
     paper's l <= 3 (longer simple paths have no sparse closed form).
     """
     return _kernel_params(measure) is not None
-
-
-def resolve_backend(backend: str, measure: Any = None) -> str:
-    """Map a backend request to the concrete backend that should run.
-
-    ``auto`` resolves to ``vectorized`` when the measure supports it
-    (always, when no measure is given) and ``python`` otherwise.
-
-    Raises:
-        ValueError: for an unknown backend name.
-    """
-    validate_backend(backend)
-    if backend != "auto":
-        return backend
-    if measure is None or supports_vectorized_kernel(measure):
-        return "vectorized"
-    return "python"
 
 
 # ----------------------------------------------------------------------
@@ -398,11 +380,13 @@ def python_kernel(
     measure: Any,
     adjacency: Optional[CSRAdjacency] = None,
 ) -> SimilarityMatrix:
-    """The reference kernel: one ``similarity_row`` call per user.
+    """The per-row kernel: one ``similarity_row`` call per user.
 
-    Rows follow the same stable user order as the vectorised path, so the
-    two backends produce directly comparable (and identically cacheable)
-    matrices.
+    The only path for measures without a blocked builder (Jaccard, cosine,
+    preferential attachment, Katz l > 3), and the reference the builders
+    are tested against.  Rows follow the same stable user order as the
+    vectorised path, so the two produce directly comparable (and
+    identically cacheable) matrices.
     """
     adj = adjacency if adjacency is not None else adjacency_csr(graph)
     index = adj.index
@@ -515,7 +499,6 @@ def build_kernel(
     graph: GraphLike,
     measure: Any,
     *,
-    backend: str = "auto",
     block_size: int = DEFAULT_BLOCK_SIZE,
     workers: Optional[int] = None,
     memory_budget_bytes: Optional[int] = None,
@@ -529,9 +512,6 @@ def build_kernel(
             :class:`~repro.graph.bigcsr.BigCSRGraph`; any
             :class:`~repro.graph.protocol.GraphLike` works.
         measure: any registered similarity measure.
-        backend: ``"auto"`` (vectorised when supported, python fallback on
-            any vectorised failure), ``"vectorized"`` (fail rather than
-            fall back), or ``"python"`` (reference row loop).
         block_size: kernel rows per construction block; bounds peak
             memory on the vectorised path.
         workers: with ``workers >= 2``, fan row blocks out across a
@@ -545,17 +525,16 @@ def build_kernel(
             *result* kernel still materialises — the budget governs
             construction overhead, not output size.
         stats: optional :class:`ComputeStats` to fill with per-stage wall
-            times, throughput, and the backend actually used.
+            times, throughput, and the path used.
 
     Returns:
         A :class:`~repro.similarity.matrix.SimilarityMatrix` whose rows
-        follow the graph's stable user order under either backend.
+        follow the graph's stable user order.  Measures with a blocked
+        builder (:func:`supports_vectorized_kernel`) take it; every other
+        measure takes :func:`python_kernel`.
 
     Raises:
-        ValueError: for an unknown backend or invalid ``block_size`` /
-            ``memory_budget_bytes``.
-        ReproError: when ``backend="vectorized"`` and the measure has no
-            vectorised builder as configured.
+        ValueError: for an invalid ``block_size`` / ``memory_budget_bytes``.
     """
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
@@ -572,7 +551,6 @@ def build_kernel(
             return _build_kernel(
                 graph,
                 measure,
-                backend=backend,
                 block_size=block_size,
                 workers=workers,
                 memory_budget_bytes=memory_budget_bytes,
@@ -588,50 +566,23 @@ def _build_kernel(
     graph: GraphLike,
     measure: Any,
     *,
-    backend: str,
     block_size: int,
     workers: Optional[int],
     memory_budget_bytes: Optional[int],
     stats: ComputeStats,
 ) -> SimilarityMatrix:
-    stats.requested = backend
     stats.measure = getattr(measure, "name", type(measure).__name__)
-    resolved = resolve_backend(backend, measure)
+    params = _kernel_params(measure)
     total_start = time.perf_counter()
-
-    if resolved == "vectorized":
-        params = _kernel_params(measure)
-        if params is None:
-            raise ReproError(
-                f"measure {measure!r} has no vectorised similarity kernel; "
-                f"use backend='python' or 'auto'"
-            )
-        try:
-            fault_point("compute.kernel")
-            result = _vectorized_kernel(
-                graph,
-                measure,
-                params,
-                block_size,
-                workers,
-                memory_budget_bytes,
-                stats,
-            )
-            stats.backend = "vectorized"
-            stats.finish(
-                result.num_users, result.nnz, time.perf_counter() - total_start
-            )
-            return result
-        except Exception:
-            if backend == "vectorized":
-                raise
-            # auto: degrade to the reference implementation — slower,
-            # never wrong (same ladder shape as serving degradation).
-            stats.fallbacks += 1
-
-    stage_start = time.perf_counter()
-    result = python_kernel(graph, measure)
-    stats.add_stage("rows", time.perf_counter() - stage_start)
-    stats.backend = "python"
+    if params is not None:
+        result = _vectorized_kernel(
+            graph, measure, params, block_size, workers, memory_budget_bytes, stats
+        )
+        stats.backend = "vectorized"
+    else:
+        stage_start = time.perf_counter()
+        result = python_kernel(graph, measure)
+        stats.add_stage("rows", time.perf_counter() - stage_start)
+        stats.backend = "python"
     stats.finish(result.num_users, result.nnz, time.perf_counter() - total_start)
     return result

@@ -1,24 +1,11 @@
-"""Backend names and perf counters for the vectorised compute layer."""
+"""Perf counters for the vectorised compute layer."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict
 
-__all__ = ["BACKENDS", "ComputeStats", "validate_backend"]
-
-#: Valid backend selectors, everywhere a backend choice is threaded:
-#: ``auto`` picks the vectorised path when the measure supports it and
-#: degrades to python on failure; the other two force one path.
-BACKENDS: Tuple[str, ...] = ("auto", "vectorized", "python")
-
-
-def validate_backend(backend: str) -> str:
-    """Return ``backend`` unchanged, or raise ``ValueError`` if unknown."""
-    if backend not in BACKENDS:
-        known = ", ".join(BACKENDS)
-        raise ValueError(f"unknown compute backend {backend!r}; choose from {known}")
-    return backend
+__all__ = ["ComputeStats"]
 
 
 @dataclass
@@ -26,15 +13,14 @@ class ComputeStats:
     """Counters for one kernel (or clustering) construction.
 
     Attributes:
-        requested: the backend the caller asked for.
-        backend: the backend that actually produced the result
-            (``"python"`` after an auto-fallback; empty until a build ran).
+        backend: the path that produced the result — ``"vectorized"``
+            (blocked CSR builder) or ``"python"`` (per-row reference, for
+            measures without a builder); empty until a build ran.
         measure: registry name of the measure built, when applicable.
         rows: kernel rows produced.
         nnz: stored non-zero entries in the result.
         blocks: row blocks the construction was split into.
         workers: processes used (1 = in-process).
-        fallbacks: vectorised attempts that degraded to the python path.
         memory_budget_bytes: the caller's peak-memory target for block
             construction (0 = unbudgeted).
         spill_blocks: finished row blocks spilled to ``.npy`` scratch
@@ -46,14 +32,12 @@ class ComputeStats:
         rows_per_second: ``rows / total_seconds``.
     """
 
-    requested: str = "auto"
     backend: str = ""
     measure: str = ""
     rows: int = 0
     nnz: int = 0
     blocks: int = 0
     workers: int = 1
-    fallbacks: int = 0
     memory_budget_bytes: int = 0
     spill_blocks: int = 0
     spill_bytes: int = 0

@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.cache.store import SimilarityStore
 from repro.compute.kernels import build_kernel, supports_vectorized_kernel
-from repro.compute.stats import ComputeStats, validate_backend
+from repro.compute.stats import ComputeStats
 from repro.core.private import PrivateSocialRecommender
 from repro.core.profile import ClusterProfile, cluster_profile, recommend_from_row
 from repro.exceptions import ReproError
@@ -63,55 +63,42 @@ __all__ = [
     "BatchStats",
     "batch_recommend_all",
     "compute_similarity_kernel",
-    "supports_vectorised_measure",
 ]
 
 
 def _similarity_matrix_for(
     graph,
     measure: SimilarityMeasure,
-    backend: str = "auto",
     stats: Optional[ComputeStats] = None,
 ) -> Optional[SimilarityMatrix]:
     """The batch kernel for ``measure``, or None when unsupported.
 
-    Construction goes through :func:`repro.compute.build_kernel`, so the
-    chosen ``backend`` (and its auto-fallback accounting) applies here and
+    Construction goes through :func:`repro.compute.build_kernel`, like
     everywhere else a kernel is built.
     """
     if not supports_vectorized_kernel(measure):
         return None
-    return build_kernel(graph, measure, backend=backend, stats=stats)
+    return build_kernel(graph, measure, stats=stats)
 
 
 def compute_similarity_kernel(
     graph,
     measure: SimilarityMeasure,
-    backend: str = "auto",
     stats: Optional[ComputeStats] = None,
 ) -> SimilarityMatrix:
     """The all-pairs kernel for ``measure`` (cache-warming entry point).
 
     Raises:
         ReproError: when ``measure`` has no vectorised kernel with its
-            current settings (see :func:`supports_vectorised_measure`).
+            current settings (see
+            :func:`repro.compute.supports_vectorized_kernel`).
     """
-    matrix = _similarity_matrix_for(graph, measure, backend=backend, stats=stats)
+    matrix = _similarity_matrix_for(graph, measure, stats=stats)
     if matrix is None:
         raise ReproError(
             f"measure {measure!r} has no vectorised similarity kernel"
         )
     return matrix
-
-
-def supports_vectorised_measure(measure: SimilarityMeasure) -> bool:
-    """Whether ``measure`` has a batch kernel (with its current settings).
-
-    Delegates to :func:`repro.compute.supports_vectorized_kernel`: cn/aa/ra
-    always, Graph Distance at *any* cutoff (the blocked BFS kernel), and
-    Katz up to the paper's l <= 3.
-    """
-    return supports_vectorized_kernel(measure)
 
 
 @dataclass
@@ -203,7 +190,6 @@ def batch_recommend_all(
     store: Optional[SimilarityStore] = None,
     workers: Optional[int] = None,
     shard_size: Optional[int] = None,
-    backend: str = "auto",
 ) -> BatchResult:
     """Top-N recommendations for many users at once.
 
@@ -221,12 +207,8 @@ def batch_recommend_all(
             profile rows.  Default (None or 1) stays in-process.
         shard_size: users per pool shard (default: spread the target
             users over ``4 * workers`` shards so a slow shard cannot
-            stall the whole batch).
-        backend: kernel construction backend
-            (``auto | vectorized | python``; see
-            :func:`repro.compute.build_kernel`).  Affects construction
-            speed only — scoring happens on the assembled kernel either
-            way.  Construction counters land on ``stats.compute``.
+            stall the whole batch).  Kernel construction counters land
+            on ``stats.compute``.
 
     Returns:
         :class:`BatchResult` — user -> :class:`RecommendationList`,
@@ -248,7 +230,6 @@ def batch_recommend_all(
             store=store,
             workers=workers,
             shard_size=shard_size,
-            backend=backend,
         )
 
 
@@ -261,7 +242,6 @@ def _batch_recommend_all(
     store: Optional[SimilarityStore] = None,
     workers: Optional[int] = None,
     shard_size: Optional[int] = None,
-    backend: str = "auto",
 ) -> BatchResult:
     start_time = time.perf_counter()
     state = recommender.state
@@ -278,26 +258,22 @@ def _batch_recommend_all(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if shard_size is not None and shard_size < 1:
         raise ValueError(f"shard_size must be >= 1, got {shard_size}")
-    validate_backend(backend)
 
     target_users = list(users) if users is not None else state.social.users()
     results = BatchResult()
     stats = results.stats
-    compute_stats = ComputeStats(requested=backend)
+    compute_stats = ComputeStats()
 
     kernel_start = time.perf_counter()
     try:
         fault_point("batch.kernel")
-        if store is not None and supports_vectorised_measure(recommender.measure):
+        if store is not None and supports_vectorized_kernel(recommender.measure):
             before = store.stats.snapshot()
             lookup = store.get_or_compute(
                 state.social,
                 recommender.measure,
                 lambda: compute_similarity_kernel(
-                    state.social,
-                    recommender.measure,
-                    backend=backend,
-                    stats=compute_stats,
+                    state.social, recommender.measure, stats=compute_stats
                 ),
             )
             sim_matrix: Optional[SimilarityMatrix] = lookup.matrix
@@ -305,7 +281,7 @@ def _batch_recommend_all(
             stats.cache_misses = store.stats.misses - before.misses
         else:
             sim_matrix = _similarity_matrix_for(
-                state.social, recommender.measure, backend=backend, stats=compute_stats
+                state.social, recommender.measure, stats=compute_stats
             )
     except Exception:
         # A failing kernel degrades the whole batch to the (slower but

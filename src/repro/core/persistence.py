@@ -46,6 +46,7 @@ from repro.exceptions import (
     ReleaseIntegrityError,
 )
 from repro.graph.social_graph import SocialGraph
+from repro.resilience.atomic import atomic_write
 from repro.resilience.degradation import DEGRADATION_LADDER, TIER_PERSONALIZED
 from repro.resilience.faults import fault_point
 from repro.resilience.retry import RetryPolicy
@@ -124,16 +125,7 @@ def _mmap_matrix(matrix: np.ndarray, digest: str, mmap_dir: str) -> np.ndarray:
         ):
             mapped = None
     if mapped is None:
-        tmp_path = f"{cache_path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp_path, "wb") as handle:
-                np.save(handle, canonical)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, cache_path)
-        finally:
-            if os.path.exists(tmp_path):
-                os.remove(tmp_path)
+        atomic_write(cache_path, lambda handle: np.save(handle, canonical))
         mapped = np.load(cache_path, mmap_mode="r")
     return mapped
 
@@ -211,12 +203,13 @@ class PublishedRelease:
     def save(self, path: str) -> None:
         """Write the artifact to ``path`` atomically.
 
-        The archive is written to a sibling temporary file, flushed and
-        fsynced, and only then moved over ``path`` with ``os.replace`` —
-        so a crash at any point leaves either the previous artifact or no
-        file at all, never a torn one.  The archive embeds a SHA-256
-        checksum over the matrix bytes and the metadata payload, verified
-        on load.
+        The archive goes through
+        :func:`~repro.resilience.atomic.atomic_write` — a sibling temp
+        file, flushed and fsynced, moved over ``path`` with ``os.replace``,
+        then the directory fsynced — so a crash at any point leaves either
+        the previous artifact or no file at all, never a torn one.  The
+        archive embeds a SHA-256 checksum over the matrix bytes and the
+        metadata payload, verified on load.
 
         Raises:
             DatasetError: for identifiers that cannot be represented in
@@ -229,31 +222,16 @@ class PublishedRelease:
         payload = json.dumps(self._metadata()).encode("utf-8")
         matrix = np.ascontiguousarray(self.weights.matrix, dtype=np.float64)
         checksum = _payload_digest(matrix, payload)
-        tmp_path = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp_path, "wb") as handle:
-                np.savez_compressed(
-                    handle,
-                    matrix=matrix,
-                    metadata=np.frombuffer(payload, dtype=np.uint8),
-                    checksum=np.frombuffer(checksum.encode("ascii"), dtype=np.uint8),
-                )
-                handle.flush()
-                os.fsync(handle.fileno())
-            fault_point("release.save.pre-replace", path=tmp_path)
-            os.replace(tmp_path, path)
-        finally:
-            if os.path.exists(tmp_path):
-                os.remove(tmp_path)
-        directory = os.path.dirname(os.path.abspath(path))
-        try:
-            dir_fd = os.open(directory, os.O_RDONLY)
-        except OSError:
-            return  # platform without directory fds; rename is still atomic
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+        atomic_write(
+            path,
+            lambda handle: np.savez_compressed(
+                handle,
+                matrix=matrix,
+                metadata=np.frombuffer(payload, dtype=np.uint8),
+                checksum=np.frombuffer(checksum.encode("ascii"), dtype=np.uint8),
+            ),
+            fault_site="release.save.pre-replace",
+        )
 
     @classmethod
     def load(

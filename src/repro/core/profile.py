@@ -108,18 +108,18 @@ def cluster_profile(kernel: SimilarityMatrix, clustering: Clustering) -> Cluster
     )
 
 
-def profile_kernel(graph, measure, *, store=None, backend: str = "auto"):
+def profile_kernel(graph, measure, *, store=None):
     """The similarity kernel ``S`` a profile is built from.
 
     Goes through the persistent ``store`` when one is given and the
     measure has a vectorised kernel; otherwise builds it with
-    :func:`~repro.compute.kernels.build_kernel`, which falls back to the
-    python reference rows for measures without a vectorised builder.
+    :func:`~repro.compute.kernels.build_kernel`, which takes the per-row
+    python kernel for measures without a vectorised builder.
     """
     # Looked up on the module per call, so instrumentation that wraps the
     # module's entry points sees every kernel build.
     def build() -> SimilarityMatrix:
-        return kernels.build_kernel(graph, measure, backend=backend)
+        return kernels.build_kernel(graph, measure)
 
     if store is not None and kernels.supports_vectorized_kernel(measure):
         return store.get_or_compute(graph, measure, build).matrix

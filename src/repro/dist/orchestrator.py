@@ -29,6 +29,7 @@ from typing import Callable, List, Optional, Sequence, Union
 
 from repro.cache.store import SimilarityStore
 from repro.datasets.dataset import SocialRecDataset
+from repro.exceptions import SweepQueueError
 from repro.experiments.engine import validate_engine
 from repro.experiments.tradeoff import TradeoffResult, run_tradeoff
 from repro.obs.registry import incr
@@ -71,10 +72,17 @@ def submit_tradeoff_sweep(
     :class:`~repro.exceptions.SweepQueueError` rather than mixing sweeps.
     """
     validate_engine(spec.engine)
+    payload = spec.to_dict()
+    try:
+        persisted = SweepQueue(queue_dir).spec
+        # A spec written with keys this version no longer reads (the
+        # retired ``backend``) still names the same sweep.
+        if isinstance(persisted, dict) and SweepSpec.from_dict(persisted) == spec:
+            payload = persisted
+    except SweepQueueError:
+        pass  # no queue yet, or an unreadable spec ``create`` reports
     with span("dist.submit"):
-        queue = SweepQueue.create(
-            queue_dir, spec.to_dict(), _build_tasks(spec), clock=clock
-        )
+        queue = SweepQueue.create(queue_dir, payload, _build_tasks(spec), clock=clock)
     incr("dist.sweeps_submitted")
     return queue
 
@@ -90,7 +98,6 @@ def run_distributed_tradeoff(
     louvain_runs: int = 10,
     seed: int = 0,
     engine: str = "vectorized",
-    backend: str = "auto",
     max_attempts: int = 3,
     grace_s: float = 5.0,
     poll_s: float = 0.2,
@@ -133,7 +140,6 @@ def run_distributed_tradeoff(
         louvain_runs=louvain_runs,
         seed=seed,
         engine=engine,
-        backend=backend,
         max_attempts=max_attempts,
     )
     queue = submit_tradeoff_sweep(queue_dir, spec, clock=clock)
@@ -217,7 +223,6 @@ def collect_results(
             checkpoint=queue.checkpoint_path,
             engine=spec.engine,
             store=store if store is not None else SimilarityStore(queue.cache_dir),
-            backend=spec.backend,
         )
 
 

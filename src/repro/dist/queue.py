@@ -48,11 +48,11 @@ import os
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.exceptions import LeaseLostError, SweepQueueError
-from repro.experiments.checkpoint import fsync_directory
 from repro.obs.registry import incr
+from repro.resilience.atomic import atomic_write
 from repro.resilience.faults import fault_point
 
 __all__ = [
@@ -254,7 +254,6 @@ class SweepQueue:
             task_path = queue._path("tasks", task.task_id)
             if not os.path.exists(task_path):
                 _atomic_write_json(task_path, task.to_dict())
-        fsync_directory(os.path.join(root, "tasks"))
         return queue
 
     def _path(self, kind: str, task_id: str) -> str:
@@ -469,7 +468,6 @@ class SweepQueue:
                 "completed_at": self.clock(),
             },
         )
-        fsync_directory(os.path.join(self.root, "done"))
         if self._owns(lease):
             _remove_quietly(self._path("leases", lease.task.task_id))
         self.stats.completions += 1
@@ -508,7 +506,6 @@ class SweepQueue:
                 "poisoned_at": self.clock(),
             },
         )
-        fsync_directory(os.path.join(self.root, "poison"))
         self.stats.poisoned += 1
         incr("dist.poisoned")
 
@@ -584,12 +581,8 @@ class SweepQueue:
 # small file helpers (atomic JSON write, tolerant read)
 # ----------------------------------------------------------------------
 def _atomic_write_json(path: str, payload: Dict[str, object]) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}.{uuid.uuid4().hex[:8]}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    data = json.dumps(payload).encode("utf-8")
+    atomic_write(path, lambda handle: handle.write(data))
 
 
 def _read_json(path: str) -> Optional[dict]:

@@ -89,7 +89,6 @@ class SweepSpec:
     louvain_runs: int = 10
     seed: int = 0
     engine: str = "vectorized"
-    backend: str = "auto"
     max_attempts: int = 3
     version: int = field(default=_SPEC_VERSION)
 
@@ -139,12 +138,13 @@ class SweepSpec:
             "louvain_runs": self.louvain_runs,
             "seed": self.seed,
             "engine": self.engine,
-            "backend": self.backend,
             "max_attempts": self.max_attempts,
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "SweepSpec":
+        """Parse a persisted spec; keys it does not know are ignored, so
+        queues written with the retired ``backend`` field still load."""
         try:
             version = int(payload.get("version", _SPEC_VERSION))  # type: ignore[arg-type]
             if version > _SPEC_VERSION:
@@ -166,7 +166,6 @@ class SweepSpec:
                 louvain_runs=int(payload.get("louvain_runs", 10)),  # type: ignore[arg-type]
                 seed=int(payload.get("seed", 0)),  # type: ignore[arg-type]
                 engine=str(payload.get("engine", "vectorized")),
-                backend=str(payload.get("backend", "auto")),
                 max_attempts=int(payload.get("max_attempts", 3)),  # type: ignore[arg-type]
                 version=version,
             )

@@ -328,5 +328,4 @@ class SweepWorker:
             checkpoint=self.queue.checkpoint_path,
             engine=self.spec.engine,
             store=self._shared_store(),
-            backend=self.spec.backend,
         )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from repro.exceptions import ExperimentError
 from repro.experiments.engine import SweepEngine, validate_engine
 from repro.experiments.evaluation import EvaluationContext, evaluate_factory
 from repro.graph.social_graph import SocialGraph
-from repro.metrics.errors import _approximation_error, expected_perturbation_error
+from repro.metrics.errors import _approximation_errors, expected_perturbation_error
 from repro.similarity.base import SimilarityCache, SimilarityMeasure
 from repro.types import ItemId
 
@@ -105,7 +105,6 @@ def run_clustering_ablation(
     strategies: Optional[Dict[str, Clustering]] = None,
     seed: int = 0,
     engine: str = "vectorized",
-    backend: str = "auto",
 ) -> List[ClusteringAblationCell]:
     """Compare clustering strategies at fixed epsilon (ablation 1).
 
@@ -123,7 +122,7 @@ def run_clustering_ablation(
     )
     sweep_engine: Optional[SweepEngine] = None
     if engine == "vectorized":
-        sweep_engine = SweepEngine(dataset, backend=backend)
+        sweep_engine = SweepEngine(dataset)
     cells: List[ClusteringAblationCell] = []
     try:
         for name, clustering in strategies.items():
@@ -218,14 +217,10 @@ def run_error_decomposition(
             if not row:
                 continue
             perturb.append(expected_perturbation_error(row, clustering, epsilon))
-            for item in items:
-                approx.append(
-                    abs(
-                        _approximation_error(
-                            row, dataset.preferences, clustering, item, averages
-                        )
-                    )
-                )
+            errors = _approximation_errors(
+                row, dataset.preferences, clustering, items, averages
+            )
+            approx.extend(abs(error) for error in errors)
         rows.append(
             ErrorDecompositionRow(
                 strategy=name,

@@ -28,27 +28,9 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from repro.exceptions import ExperimentError
 from repro.obs.registry import incr
+from repro.resilience.atomic import fsync_directory
 
 __all__ = ["SweepCheckpoint", "encode_epsilon", "decode_epsilon", "fsync_directory"]
-
-
-def fsync_directory(path: str) -> None:
-    """Fsync a directory so a freshly-created entry survives power loss.
-
-    Filesystems that do not support opening directories (or fsyncing
-    them) are tolerated silently — durability degrades to the platform's
-    guarantee, which is the pre-existing behaviour.
-    """
-    try:
-        fd = os.open(path if path else ".", os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
 
 
 def encode_epsilon(epsilon: float) -> str:

@@ -88,7 +88,6 @@ def run_comparison(
     seed: int = 0,
     engine: str = "vectorized",
     store: Optional[SimilarityStore] = None,
-    backend: str = "auto",
 ) -> List[ComparisonCell]:
     """Run the Figure 4 comparison on one dataset.
 
@@ -109,7 +108,6 @@ def run_comparison(
             mechanisms have no batched factorisation and always take the
             reference path); ``"reference"`` scores everything per user.
         store: optional persistent similarity cache (vectorized engine).
-        backend: kernel construction backend (vectorized engine).
     """
     validate_engine(engine)
     if not measures:
@@ -117,7 +115,7 @@ def run_comparison(
     clustering = louvain_strategy(runs=louvain_runs, seed=seed)(dataset.social)
     sweep_engine: Optional[SweepEngine] = None
     if engine == "vectorized" and "cluster" in mechanisms:
-        sweep_engine = SweepEngine(dataset, store=store, backend=backend)
+        sweep_engine = SweepEngine(dataset, store=store)
     cells: List[ComparisonCell] = []
     try:
         for measure in measures:

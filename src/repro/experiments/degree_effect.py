@@ -62,7 +62,6 @@ def run_degree_effect(
     seed: int = 0,
     engine: str = "vectorized",
     store: Optional[SimilarityStore] = None,
-    backend: str = "auto",
 ) -> DegreeEffectResult:
     """Run the Figure 3 analysis: approximation error only (eps = inf).
 
@@ -79,7 +78,6 @@ def run_degree_effect(
             batched pass; ``"reference"`` fits the recommender and ranks
             per user.  Identical per-user scores either way.
         store: optional persistent similarity cache (vectorized engine).
-        backend: kernel construction backend (vectorized engine).
     """
     validate_engine(engine)
     if clustering is None:
@@ -93,7 +91,7 @@ def run_degree_effect(
     )
     per_user: Optional[Dict[UserId, float]] = None
     if engine == "vectorized":
-        sweep_engine = SweepEngine(dataset, store=store, backend=backend)
+        sweep_engine = SweepEngine(dataset, store=store)
         try:
             per_user = sweep_engine.per_user_scores(
                 context, clustering, math.inf, seed, n

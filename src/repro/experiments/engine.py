@@ -54,7 +54,7 @@ import numpy as np
 from repro.cache.store import SimilarityStore
 from repro.community.clustering import Clustering
 from repro.compute.kernels import build_kernel, supports_vectorized_kernel
-from repro.compute.stats import ComputeStats, validate_backend
+from repro.compute.stats import ComputeStats
 from repro.core.base import top_n_positions
 from repro.core.cluster_weights import ClusterItemAverages, cluster_item_averages
 from repro.core.private import covering_clustering
@@ -364,11 +364,8 @@ class SweepEngine:
         workers: with ``workers >= 2``, the epsilon cells of each
             ``evaluate_many`` call fan out over a process pool whose
             workers memory-map the spilled profile rows.  Default:
-            in-process.
-        backend: kernel construction backend
-            (``auto | vectorized | python``); measures without a
-            vectorised kernel transparently use the per-user reference
-            builder either way.
+            in-process.  Measures without a vectorised kernel use the
+            per-row python builder.
         chunk_size: evaluation users per dense scoring chunk; bounds peak
             memory at roughly ``chunk_size * num_items`` floats.
         max_weight / protection / user_clamp: release parameters,
@@ -382,13 +379,11 @@ class SweepEngine:
         *,
         store: Optional[SimilarityStore] = None,
         workers: Optional[int] = None,
-        backend: str = "auto",
         chunk_size: int = 1024,
         max_weight: float = 1.0,
         protection: str = "edge",
         user_clamp: int = 50,
     ) -> None:
-        validate_backend(backend)
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if chunk_size < 1:
@@ -396,7 +391,6 @@ class SweepEngine:
         self.dataset = dataset
         self.store = store
         self.workers = workers
-        self.backend = backend
         self.chunk_size = chunk_size
         self.max_weight = max_weight
         self.protection = protection
@@ -446,29 +440,19 @@ class SweepEngine:
         if kernel is not None:
             return kernel
         started = time.perf_counter()
-        compute_stats = ComputeStats(requested=self.backend)
+        compute_stats = ComputeStats()
         if self.store is not None and supports_vectorized_kernel(measure):
             before = self.store.stats.snapshot()
             lookup = self.store.get_or_compute(
                 self.dataset.social,
                 measure,
-                lambda: build_kernel(
-                    self.dataset.social,
-                    measure,
-                    backend=self.backend,
-                    stats=compute_stats,
-                ),
+                lambda: build_kernel(self.dataset.social, measure, stats=compute_stats),
             )
             kernel = lookup.matrix
             self.stats.cache_hits += self.store.stats.hits - before.hits
             self.stats.cache_misses += self.store.stats.misses - before.misses
         else:
-            kernel = build_kernel(
-                self.dataset.social,
-                measure,
-                backend=self.backend,
-                stats=compute_stats,
-            )
+            kernel = build_kernel(self.dataset.social, measure, stats=compute_stats)
         self._kernels[measure.name] = kernel
         self.stats.measures += 1
         self.stats.kernel_seconds += time.perf_counter() - started
@@ -527,7 +511,6 @@ class SweepEngine:
             max_weight=self.max_weight,
             protection=self.protection,
             user_clamp=self.user_clamp,
-            backend=self.backend,
         )
         arrays = _ClusterArrays(
             clustering=clustering,

@@ -134,7 +134,6 @@ def run_tradeoff(
     engine: str = "vectorized",
     workers: Optional[int] = None,
     store: Optional[SimilarityStore] = None,
-    backend: str = "auto",
 ) -> TradeoffResult:
     """Run the Figure 1/2 sweep on one dataset.
 
@@ -166,8 +165,6 @@ def run_tradeoff(
             engine).
         store: optional persistent similarity cache for the vectorized
             engine's kernels.
-        backend: kernel construction backend for the vectorized engine
-            (``auto | vectorized | python``).
 
     Returns:
         A :class:`TradeoffResult` — one :class:`TradeoffCell` per
@@ -201,9 +198,7 @@ def run_tradeoff(
 
     sweep_engine: Optional[SweepEngine] = None
     if engine == "vectorized":
-        sweep_engine = SweepEngine(
-            dataset, store=store, workers=workers, backend=backend
-        )
+        sweep_engine = SweepEngine(dataset, store=store, workers=workers)
 
     max_n = max(ns)
     cells = TradeoffResult()

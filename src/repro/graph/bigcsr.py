@@ -60,6 +60,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import EdgeError, GraphArtifactError, NodeNotFoundError
+from repro.resilience.atomic import fsync_directory
 from repro.types import UserId
 
 __all__ = [
@@ -106,19 +107,6 @@ def _fsync_file(path: str) -> None:
     fd = os.open(path, os.O_RDONLY)
     try:
         os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def _fsync_dir(path: str) -> None:
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platforms without dir fds
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover
-        pass
     finally:
         os.close(fd)
 
@@ -710,7 +698,7 @@ class BigCSRWriter:
                 os.fsync(handle.fileno())
             for name in _BUFFER_NAMES:
                 _fsync_file(os.path.join(tmp_dir, name))
-            _fsync_dir(tmp_dir)
+            fsync_directory(tmp_dir)
 
             final = (
                 content_path(directory, fingerprint)
@@ -726,7 +714,7 @@ class BigCSRWriter:
                     return open_bigcsr(final, verify=verify)
                 shutil.rmtree(final)
             os.rename(tmp_dir, final)
-            _fsync_dir(parent)
+            fsync_directory(parent)
             return open_bigcsr(final, verify=verify)
         finally:
             if os.path.isdir(tmp_dir):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.community.clustering import Clustering
 from repro.graph.preference_graph import PreferenceGraph
@@ -37,15 +37,34 @@ __all__ = [
 ]
 
 
-def _cluster_average(
+def _owned(preferences: PreferenceGraph, user: UserId) -> Mapping[ItemId, float]:
+    """``user``'s preference edges, empty for users outside the graph."""
+    return preferences.items_of(user) if preferences.has_user(user) else {}
+
+
+def _fill_cluster_averages(
     preferences: PreferenceGraph,
     clustering: Clustering,
     cluster_index: int,
-    item: ItemId,
-) -> float:
+    items: Sequence[ItemId],
+    averages: Dict[Tuple[int, ItemId], float],
+) -> None:
+    """Memoise ``c_bar`` for every item of ``items`` this cluster lacks.
+
+    One pass over the members' own edges, summed in member order; absent
+    edges are exact ``+0.0`` terms and are skipped.
+    """
+    missing = [item for item in items if (cluster_index, item) not in averages]
+    totals = dict.fromkeys(missing, 0.0)
     members = clustering.members_of(cluster_index)
-    total = sum(preferences.weight(v, item) for v in members)
-    return total / len(members)
+    for v in members:
+        owned = _owned(preferences, v)
+        for item in missing:
+            weight = owned.get(item)
+            if weight:
+                totals[item] += weight
+    for item in missing:
+        averages[(cluster_index, item)] = totals[item] / len(members)
 
 
 def approximation_error(
@@ -65,41 +84,51 @@ def approximation_error(
     Users in the similarity row that the clustering does not cover are
     ignored (they cannot contribute to a cluster-based estimate).
     """
-    return _approximation_error(similarity_row, preferences, clustering, item, {})
+    return _approximation_errors(similarity_row, preferences, clustering, [item], {})[0]
 
 
-def _approximation_error(
+def _approximation_errors(
     similarity_row: Mapping[UserId, float],
     preferences: PreferenceGraph,
     clustering: Clustering,
-    item: ItemId,
+    items: Sequence[ItemId],
     averages: Dict[Tuple[int, ItemId], float],
-) -> float:
-    """:func:`approximation_error` with ``c_bar`` memoised in ``averages``.
+) -> List[float]:
+    """:func:`approximation_error` for each of ``items``, one row walk.
+
+    The row is walked once: it builds the per-cluster similarity sums and,
+    from each neighbour's own edges, the per-(cluster, item) weighted
+    sums, both in row order.  Absent edges are exact ``+0.0`` terms and
+    are skipped, so every value equals the per-item formula bit for bit.
 
     ``averages`` maps ``(cluster, item)`` to the noise-free cluster
-    average; callers evaluating many (user, item) pairs on one preference
-    graph and clustering share one dict, so each average is computed once.
+    average; callers evaluating many users on one preference graph and
+    clustering share one dict, so each average is computed once.
     """
-    per_cluster_sim: Dict[int, float] = {}
-    per_cluster_weighted: Dict[int, float] = {}
+    sim_sum: Dict[int, float] = {}
+    weighted: Dict[Tuple[int, ItemId], float] = {}
     for v, score in similarity_row.items():
         if v not in clustering:
             continue
         c = clustering.cluster_of(v)
-        per_cluster_sim[c] = per_cluster_sim.get(c, 0.0) + score
-        per_cluster_weighted[c] = (
-            per_cluster_weighted.get(c, 0.0) + score * preferences.weight(v, item)
-        )
-    error = 0.0
-    for c, sim_sum in per_cluster_sim.items():
-        c_bar = averages.get((c, item))
-        if c_bar is None:
-            c_bar = averages[(c, item)] = _cluster_average(
-                preferences, clustering, c, item
-            )
-        error += per_cluster_weighted[c] - sim_sum * c_bar
-    return error
+        sim_sum[c] = sim_sum.get(c, 0.0) + score
+        owned = _owned(preferences, v)
+        for item in items:
+            weight = owned.get(item)
+            if weight:
+                key = (c, item)
+                weighted[key] = weighted.get(key, 0.0) + score * weight
+    errors = []
+    for item in items:
+        error = 0.0
+        for c, total in sim_sum.items():
+            c_bar = averages.get((c, item))
+            if c_bar is None:
+                _fill_cluster_averages(preferences, clustering, c, items, averages)
+                c_bar = averages[(c, item)]
+            error += weighted.get((c, item), 0.0) - total * c_bar
+        errors.append(error)
+    return errors
 
 
 def expected_perturbation_error(

@@ -89,30 +89,22 @@ class SimilarityCache:
     first pass.  The cache assumes the graph is not mutated after wrapping —
     mutating it invalidates the cache silently, so wrap a finished snapshot.
 
-    ``backend`` picks how rows are materialised: ``"auto"`` (the default)
-    tries vectorised when the measure supports it and silently degrades to
-    python on failure (counted in :attr:`last_compute_stats`);
-    ``"vectorized"`` builds the whole kernel at once on the
-    :mod:`repro.compute` CSR path (rows agree with the python backend
-    within 1e-9; CN / Graph Distance / Katz are bit-identical);
-    ``"python"`` computes each row with the measure's own
-    ``similarity_row`` — pass it explicitly to force the bit-exact
-    reference path.
+    Measures with a vectorised builder (see
+    :func:`repro.compute.supports_vectorized_kernel`) materialise every row
+    at once on the :mod:`repro.compute` CSR path on first access (rows
+    agree with ``similarity_row`` within 1e-9; CN / Graph Distance / Katz
+    are bit-identical); every other measure computes each row with its
+    own ``similarity_row``.
     """
 
-    def __init__(
-        self,
-        measure: SimilarityMeasure,
-        graph: GraphLike,
-        backend: str = "auto",
-    ) -> None:
-        from repro.compute.stats import ComputeStats, validate_backend
+    def __init__(self, measure: SimilarityMeasure, graph: GraphLike) -> None:
+        from repro.compute.kernels import supports_vectorized_kernel
+        from repro.compute.stats import ComputeStats
 
-        validate_backend(backend)
         self._measure = measure
         self._graph = graph
-        self._backend = backend
         self._rows: Dict[UserId, Dict[UserId, float]] = {}
+        self._vectorized = supports_vectorized_kernel(measure)
         self._kernel_built = False
         self._last_stats: Optional[ComputeStats] = None
 
@@ -125,31 +117,18 @@ class SimilarityCache:
         return self._graph
 
     @property
-    def backend(self) -> str:
-        """The backend requested at construction (``auto|vectorized|python``)."""
-        return self._backend
-
-    @property
     def last_compute_stats(self):
         """The :class:`~repro.compute.stats.ComputeStats` of the most recent
         kernel build, or None when no vectorised build has run."""
         return self._last_stats
 
-    def _resolved_backend(self, backend: Optional[str] = None) -> str:
-        from repro.compute.kernels import resolve_backend
-
-        requested = self._backend if backend is None else backend
-        return resolve_backend(requested, self._measure)
-
-    def _build_kernel(self, backend: str) -> None:
+    def _build_kernel(self) -> None:
         """Materialise every row at once through :func:`repro.compute.build_kernel`."""
         from repro.compute.kernels import build_kernel
         from repro.compute.stats import ComputeStats
 
-        stats = ComputeStats(requested=backend)
-        kernel = build_kernel(
-            self._graph, self._measure, backend=backend, stats=stats
-        )
+        stats = ComputeStats()
+        kernel = build_kernel(self._graph, self._measure, stats=stats)
         self._last_stats = stats
         for user in kernel.users:
             if user not in self._rows:
@@ -160,8 +139,8 @@ class SimilarityCache:
         """Cached ``sim(u, .)`` row (returned mapping must not be mutated)."""
         cached = self._rows.get(user)
         if cached is None:
-            if not self._kernel_built and self._resolved_backend() == "vectorized":
-                self._build_kernel(self._backend)
+            if self._vectorized and not self._kernel_built:
+                self._build_kernel()
                 cached = self._rows.get(user)
                 if cached is not None:
                     return cached
@@ -181,20 +160,14 @@ class SimilarityCache:
         """``sim(u)``: users with positive similarity, from the cached row."""
         return frozenset(v for v, s in self.row(user).items() if s > 0.0)
 
-    def precompute(
-        self, users=None, backend: Optional[str] = None
-    ) -> None:
+    def precompute(self, users=None) -> None:
         """Warm the cache for ``users`` (default: the whole graph).
 
-        Args:
-            users: the users to warm (vectorised builds always materialise
-                the full kernel; extra rows are kept — they were free).
-            backend: override the cache's construction-time backend for
-                this warm-up only.
+        Vectorised measures always materialise the full kernel; extra rows
+        are kept — they were free.
         """
-        resolved = self._resolved_backend(backend)
-        if resolved == "vectorized" and not self._kernel_built:
-            self._build_kernel(self._backend if backend is None else backend)
+        if self._vectorized and not self._kernel_built:
+            self._build_kernel()
         for user in self._graph.users() if users is None else users:
             self.row(user)
 

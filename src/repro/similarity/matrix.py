@@ -127,7 +127,7 @@ def adjacency_matrix(graph: SocialGraph):
 
     Delegates to :meth:`~repro.graph.social_graph.SocialGraph.to_csr`, so
     rows follow the canonical stable user order shared with the
-    :mod:`repro.compute` backend and the persistent kernel cache.
+    :mod:`repro.compute` kernels and the persistent kernel cache.
     """
     matrix, users = graph.to_csr()
     index = {u: i for i, u in enumerate(users)}

@@ -4,7 +4,7 @@ The acceptance pins live here: every cell's empirical bound stays under
 the ledger's analytical claim, the private bounds are monotone in
 epsilon, the non-private baselines are flagged at the sentinel, and the
 whole report is a bit-reproducible pure function of the master seed —
-across compute backends and under injected faults.
+against the python reference implementations and under injected faults.
 """
 
 import json
@@ -12,11 +12,16 @@ import math
 
 import pytest
 
+import repro.attacks.audit as audit_module
+import repro.core.cluster_weights as cluster_weights
 from repro.attacks.audit import format_audit_table, run_privacy_audit
 from repro.attacks.estimator import EPS_SENTINEL
 from repro.exceptions import ExperimentError
 from repro.obs.registry import Telemetry, telemetry
+from repro.compute.kernels import python_kernel
 from repro.resilience.faults import FaultPlan, FaultSpec
+from tests.oracles.exact_sums import python_exact_sums
+from tests.oracles.louvain_dict import dict_best_louvain
 
 from .conftest import AUDIT_EPSILONS, AUDIT_SEED
 
@@ -113,18 +118,28 @@ class TestReproducibility:
             audit_report.to_jsonable(), sort_keys=True
         )
 
-    def test_python_and_auto_backends_agree_bit_for_bit(self, lastfm_small):
-        reports = {
-            backend: run_privacy_audit(
-                lastfm_small, backend=backend, **SMALL_PARAMS
-            ).to_jsonable()
-            for backend in ("python", "auto")
-        }
-        for payload in reports.values():
-            payload["config"].pop("backend")
-        assert json.dumps(reports["python"], sort_keys=True) == json.dumps(
-            reports["auto"], sort_keys=True
+    def test_python_and_auto_backends_agree_bit_for_bit(
+        self, lastfm_small, monkeypatch
+    ):
+        """The audit on the python oracles — dict Louvain, per-edge exact
+        sums, per-row kernel — equals the default report bit for bit."""
+        default = run_privacy_audit(lastfm_small, **SMALL_PARAMS).to_jsonable()
+
+        def dict_strategy(runs=10, seed=0):
+            return lambda graph: dict_best_louvain(graph, runs, seed).clustering
+
+        def python_sums(prefs, clustering, item_index, max_weight, protection, clamp):
+            return python_exact_sums(prefs, clustering, max_weight, protection, clamp)
+
+        monkeypatch.setattr(audit_module, "louvain_strategy", dict_strategy)
+        monkeypatch.setattr(cluster_weights, "_exact_sums", python_sums)
+        monkeypatch.setattr(
+            audit_module,
+            "profile_kernel",
+            lambda graph, measure, store=None: python_kernel(graph, measure),
         )
+        python = run_privacy_audit(lastfm_small, **SMALL_PARAMS).to_jsonable()
+        assert json.dumps(python, sort_keys=True) == json.dumps(default, sort_keys=True)
 
 
 class TestTelemetry:

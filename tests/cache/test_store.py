@@ -3,18 +3,16 @@
 import os
 import zipfile
 
-import numpy as np
 import pytest
 
 from repro.cache.store import (
     SimilarityStore,
     load_kernel_artifact,
-    open_kernel_csr,
     save_kernel_artifact,
 )
 from repro.exceptions import CacheIntegrityError
 from repro.graph.social_graph import SocialGraph
-from repro.resilience.faults import truncate_file
+from repro.resilience.faults import FaultPlan, FaultSpec, truncate_file
 from repro.similarity.adamic_adar import AdamicAdar
 from repro.similarity.common_neighbors import CommonNeighbors
 from repro.similarity.matrix import adamic_adar_matrix, common_neighbors_matrix
@@ -57,21 +55,19 @@ class TestArtifactRoundtrip:
         save_kernel_artifact(path, matrix, "k" * 64, CommonNeighbors())
         assert os.listdir(tmp_path) == ["kernel.npz"]
 
-    def test_open_kernel_csr_memory_maps_the_buffers(self, graph, tmp_path):
-        matrix = common_neighbors_matrix(graph)
+    @pytest.mark.faults
+    def test_crash_before_replace_keeps_the_previous_artifact(self, graph, tmp_path):
         path = str(tmp_path / "kernel.npz")
-        save_kernel_artifact(path, matrix, "k" * 64, CommonNeighbors())
-        csr = open_kernel_csr(path)
-        assert (csr.toarray() == matrix.matrix.toarray()).all()
-
-        def backing(array):
-            while array is not None and not isinstance(array, np.memmap):
-                array = getattr(array, "base", None)
-            return array
-
-        assert isinstance(backing(csr.data), np.memmap)
-        assert isinstance(backing(csr.indices), np.memmap)
-        assert isinstance(backing(csr.indptr), np.memmap)
+        kernel = common_neighbors_matrix(graph)
+        save_kernel_artifact(path, kernel, "k" * 64, CommonNeighbors())
+        newer = adamic_adar_matrix(graph)
+        plan = FaultPlan([FaultSpec(site="cache.save.pre-replace")])
+        with plan.installed():
+            with pytest.raises(OSError):
+                save_kernel_artifact(path, newer, "a" * 64, AdamicAdar())
+        assert plan.fired == ["cache.save.pre-replace#1:raise"]
+        assert os.listdir(tmp_path) == ["kernel.npz"]  # no tmp debris
+        assert load_kernel_artifact(path)[1]["key"] == "k" * 64
 
 
 class TestStoreLookup:

@@ -1,15 +1,14 @@
 """Equivalence and behaviour tests for the vectorised kernel builder."""
 
-import numpy as np
 import pytest
 
 from repro.compute.kernels import (
     build_kernel,
     python_kernel,
-    resolve_backend,
     supports_vectorized_kernel,
 )
-from repro.compute.stats import ComputeStats, validate_backend
+from repro.compute.stats import ComputeStats
+from repro.core.batch import compute_similarity_kernel
 from repro.exceptions import ReproError
 from repro.graph.social_graph import SocialGraph
 from repro.resilience.faults import FaultPlan, FaultSpec
@@ -56,7 +55,7 @@ def _rows_close(kernel, measure, graph, tol=1e-9):
 class TestEquivalence:
     @pytest.mark.parametrize("measure", MEASURES, ids=MEASURE_IDS)
     def test_vectorized_rows_match_python(self, graph, measure):
-        kernel = build_kernel(graph, measure, backend="vectorized")
+        kernel = build_kernel(graph, measure)
         _rows_close(kernel, measure, graph)
 
     @pytest.mark.parametrize("measure", MEASURES, ids=MEASURE_IDS)
@@ -65,8 +64,8 @@ class TestEquivalence:
         # weighted measures (aa/ra) can differ by one ulp from a different
         # float summation order, which must never reorder anything at the
         # contract's tolerance.
-        vec = build_kernel(graph, measure, backend="vectorized")
-        ref = build_kernel(graph, measure, backend="python")
+        vec = build_kernel(graph, measure)
+        ref = python_kernel(graph, measure)
         for user in graph.users():
             rank = sorted(
                 ref.row(user).items(),
@@ -79,23 +78,14 @@ class TestEquivalence:
             assert [k for k, _ in vrank] == [k for k, _ in rank], user
 
     def test_block_size_invariance(self, graph):
-        full = build_kernel(graph, CommonNeighbors(), backend="vectorized")
+        full = build_kernel(graph, CommonNeighbors())
         for block_size in (1, 7, 64):
-            blocked = build_kernel(
-                graph,
-                CommonNeighbors(),
-                backend="vectorized",
-                block_size=block_size,
-            )
+            blocked = build_kernel(graph, CommonNeighbors(), block_size=block_size)
             assert (blocked.matrix != full.matrix).nnz == 0
 
     def test_parallel_matches_sequential(self, graph):
-        seq = build_kernel(
-            graph, AdamicAdar(), backend="vectorized", block_size=16
-        )
-        par = build_kernel(
-            graph, AdamicAdar(), backend="vectorized", block_size=16, workers=3
-        )
+        seq = build_kernel(graph, AdamicAdar(), block_size=16)
+        par = build_kernel(graph, AdamicAdar(), block_size=16, workers=3)
         assert (par.matrix != seq.matrix).nnz == 0
 
     def test_python_kernel_rows_are_exact(self, graph):
@@ -110,15 +100,17 @@ class TestEquivalence:
 
 
 class TestBackendResolution:
-    def test_validate_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            validate_backend("gpu")
+    def test_validate_rejects_unknown(self, graph):
+        # The path is chosen from the measure; the retired backend knob is
+        # refused rather than silently ignored.
+        with pytest.raises(TypeError):
+            build_kernel(graph, CommonNeighbors(), backend="python")
 
-    def test_auto_resolves_by_support(self):
-        assert resolve_backend("auto", CommonNeighbors()) == "vectorized"
-        assert resolve_backend("auto", Jaccard()) == "python"
-        assert resolve_backend("python", CommonNeighbors()) == "python"
-        assert resolve_backend("vectorized", Jaccard()) == "vectorized"
+    def test_auto_resolves_by_support(self, graph):
+        for measure, path in ((CommonNeighbors(), "vectorized"), (Jaccard(), "python")):
+            stats = ComputeStats()
+            build_kernel(graph, measure, stats=stats)
+            assert stats.backend == path
 
     def test_support_predicate(self):
         assert supports_vectorized_kernel(GraphDistance(max_distance=7))
@@ -127,14 +119,15 @@ class TestBackendResolution:
         assert not supports_vectorized_kernel(Jaccard())
 
     def test_explicit_vectorized_unsupported_raises(self, graph):
+        # The explicit vectorised entry point still refuses measures
+        # without a blocked builder instead of looping python rows.
         with pytest.raises(ReproError):
-            build_kernel(graph, Jaccard(), backend="vectorized")
+            compute_similarity_kernel(graph, Jaccard())
 
     def test_auto_unsupported_runs_python(self, graph):
         stats = ComputeStats()
-        kernel = build_kernel(graph, Jaccard(), backend="auto", stats=stats)
+        kernel = build_kernel(graph, Jaccard(), stats=stats)
         assert stats.backend == "python"
-        assert stats.fallbacks == 0
         _rows_close(kernel, Jaccard(), graph, tol=0.0)
 
     def test_bad_block_size_rejected(self, graph):
@@ -145,10 +138,7 @@ class TestBackendResolution:
 class TestStats:
     def test_stats_populated(self, graph):
         stats = ComputeStats()
-        build_kernel(
-            graph, CommonNeighbors(), backend="vectorized", stats=stats,
-            block_size=16,
-        )
+        build_kernel(graph, CommonNeighbors(), stats=stats, block_size=16)
         assert stats.backend == "vectorized"
         assert stats.rows == graph.num_users
         assert stats.blocks >= 2
@@ -157,7 +147,7 @@ class TestStats:
 
     def test_python_stats(self, graph):
         stats = ComputeStats()
-        build_kernel(graph, CommonNeighbors(), backend="python", stats=stats)
+        build_kernel(graph, Jaccard(), stats=stats)
         assert stats.backend == "python"
         assert "rows" in stats.stage_seconds
 
@@ -165,21 +155,8 @@ class TestStats:
 class TestFaultDegradation:
     pytestmark = pytest.mark.faults
 
-    def test_auto_falls_back_to_python(self, graph):
-        stats = ComputeStats()
-        plan = FaultPlan(
-            [FaultSpec(site="compute.kernel.block", on_call=1)]
-        )
-        with plan.installed():
-            kernel = build_kernel(
-                graph, CommonNeighbors(), backend="auto", stats=stats
-            )
-        assert stats.backend == "python"
-        assert stats.fallbacks == 1
-        _rows_close(kernel, CommonNeighbors(), graph, tol=0.0)
-
     def test_explicit_vectorized_propagates_fault(self, graph):
         plan = FaultPlan([FaultSpec(site="compute.kernel.block", on_call=1)])
         with plan.installed():
             with pytest.raises(OSError):
-                build_kernel(graph, CommonNeighbors(), backend="vectorized")
+                build_kernel(graph, CommonNeighbors())

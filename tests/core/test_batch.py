@@ -5,11 +5,8 @@ import math
 import pytest
 
 from repro.cache import SimilarityStore
-from repro.core.batch import (
-    BatchResult,
-    batch_recommend_all,
-    supports_vectorised_measure,
-)
+from repro.compute import supports_vectorized_kernel
+from repro.core.batch import BatchResult, batch_recommend_all
 from repro.core.private import PrivateSocialRecommender
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.similarity.adamic_adar import AdamicAdar
@@ -77,17 +74,17 @@ class TestEquivalenceWithSequentialPath:
 
 class TestSupportPredicate:
     def test_supported_measures(self):
-        assert supports_vectorised_measure(CommonNeighbors())
-        assert supports_vectorised_measure(AdamicAdar())
-        assert supports_vectorised_measure(ResourceAllocation())
-        assert supports_vectorised_measure(GraphDistance(max_distance=2))
+        assert supports_vectorized_kernel(CommonNeighbors())
+        assert supports_vectorized_kernel(AdamicAdar())
+        assert supports_vectorized_kernel(ResourceAllocation())
+        assert supports_vectorized_kernel(GraphDistance(max_distance=2))
         # The blocked BFS kernel supports any cutoff.
-        assert supports_vectorised_measure(GraphDistance(max_distance=3))
-        assert supports_vectorised_measure(Katz(max_length=3))
+        assert supports_vectorized_kernel(GraphDistance(max_distance=3))
+        assert supports_vectorized_kernel(Katz(max_length=3))
 
     def test_unsupported_configurations(self):
-        assert not supports_vectorised_measure(Katz(max_length=4))
-        assert not supports_vectorised_measure(Jaccard())
+        assert not supports_vectorized_kernel(Katz(max_length=4))
+        assert not supports_vectorized_kernel(Jaccard())
 
 
 class TestValidation:

@@ -13,6 +13,7 @@ from repro.core.cluster_weights import (
 )
 from repro.exceptions import ClusteringError, InvalidEpsilonError
 from repro.graph.preference_graph import PreferenceGraph
+from tests.oracles.exact_sums import python_cluster_averages
 
 
 @pytest.fixture
@@ -199,20 +200,21 @@ class TestAveragesNoiseSplit:
             apply_laplace_noise(averages, -1.0)
 
     def test_unknown_backend_rejected(self, prefs, clustering):
-        with pytest.raises(ValueError):
-            cluster_item_averages(prefs, clustering, backend="turbo")
+        # One accumulation path; the retired backend knob is refused
+        # rather than silently ignored.
+        with pytest.raises(TypeError):
+            cluster_item_averages(prefs, clustering, backend="python")
 
 
 class TestBackendEquality:
-    """The CSR accumulation must equal the python reference bit-for-bit."""
+    """The CSR accumulation must equal the python oracle bit-for-bit."""
 
     def test_simple_graph(self, prefs, clustering):
-        py = cluster_item_averages(prefs, clustering, backend="python")
-        vec = cluster_item_averages(prefs, clustering, backend="vectorized")
-        auto = cluster_item_averages(prefs, clustering, backend="auto")
-        assert np.array_equal(py.matrix, vec.matrix)
-        assert np.array_equal(py.matrix, auto.matrix)
-        assert py.items == vec.items
+        averages = cluster_item_averages(prefs, clustering)
+        assert np.array_equal(
+            averages.matrix, python_cluster_averages(prefs, clustering)
+        )
+        assert averages.items == prefs.items()
 
     def test_weighted_clipped_graph(self, clustering):
         g = PreferenceGraph()
@@ -221,11 +223,10 @@ class TestBackendEquality:
         g.add_edge(2, "a", weight=0.25)
         g.add_edge(2, "b", weight=0.5)
         g.add_edge(3, "b", weight=1.5)
-        py = cluster_item_averages(g, clustering, max_weight=1.0, backend="python")
-        vec = cluster_item_averages(
-            g, clustering, max_weight=1.0, backend="vectorized"
+        averages = cluster_item_averages(g, clustering, max_weight=1.0)
+        assert np.array_equal(
+            averages.matrix, python_cluster_averages(g, clustering, max_weight=1.0)
         )
-        assert np.array_equal(py.matrix, vec.matrix)
 
     def test_user_level_clamp(self):
         clustering = Clustering([[1, 2]])
@@ -235,12 +236,13 @@ class TestBackendEquality:
             g.add_edge(1, item)
         g.add_edge(2, "d")
         kwargs = dict(protection="user", user_clamp=2)
-        py = cluster_item_averages(g, clustering, backend="python", **kwargs)
-        vec = cluster_item_averages(g, clustering, backend="vectorized", **kwargs)
-        assert np.array_equal(py.matrix, vec.matrix)
+        averages = cluster_item_averages(g, clustering, **kwargs)
+        assert np.array_equal(
+            averages.matrix, python_cluster_averages(g, clustering, **kwargs)
+        )
         # The clamp kept only 1's first two items (graph item order).
-        assert py.matrix[py.item_index["c"], 0] == 0.0
-        assert py.matrix[py.item_index["d"], 0] == pytest.approx(0.5)
+        assert averages.matrix[averages.item_index["c"], 0] == 0.0
+        assert averages.matrix[averages.item_index["d"], 0] == pytest.approx(0.5)
 
     def test_random_unweighted_graph(self):
         rng = np.random.default_rng(11)
@@ -253,22 +255,36 @@ class TestBackendEquality:
         clustering = Clustering(
             [users[:13], users[13:20], users[20:39], [users[39]]]
         )
-        py = cluster_item_averages(g, clustering, backend="python")
-        vec = cluster_item_averages(g, clustering, backend="vectorized")
-        assert np.array_equal(py.matrix, vec.matrix)
+        averages = cluster_item_averages(g, clustering)
+        assert np.array_equal(averages.matrix, python_cluster_averages(g, clustering))
+
+    def test_random_weighted_graph(self):
+        rng = np.random.default_rng(12)
+        g = PreferenceGraph()
+        users = list(range(30))
+        g.add_users(users)
+        for u in users:
+            for item in rng.choice(40, size=rng.integers(0, 10), replace=False):
+                g.add_edge(u, f"i{item}", weight=float(rng.integers(1, 11)) / 4.0)
+        clustering = Clustering([users[:9], users[9:22], users[22:]])
+        averages = cluster_item_averages(g, clustering, max_weight=2.0)
+        assert np.array_equal(
+            averages.matrix, python_cluster_averages(g, clustering, max_weight=2.0)
+        )
 
     def test_empty_graph(self):
         g = PreferenceGraph()
         clustering = Clustering([])
-        py = cluster_item_averages(g, clustering, backend="python")
-        vec = cluster_item_averages(g, clustering, backend="vectorized")
-        assert py.matrix.shape == vec.matrix.shape == (0, 0)
+        averages = cluster_item_averages(g, clustering)
+        assert averages.matrix.shape == python_cluster_averages(g, clustering).shape
+        assert averages.matrix.shape == (0, 0)
 
     def test_unclustered_user_rejected_by_both(self, prefs):
         partial = Clustering([[1, 2]])
-        for backend in ("python", "vectorized"):
-            with pytest.raises(ClusteringError):
-                cluster_item_averages(prefs, partial, backend=backend)
+        with pytest.raises(ClusteringError):
+            cluster_item_averages(prefs, partial)
+        with pytest.raises(ClusteringError):
+            python_cluster_averages(prefs, partial)
 
 
 class TestEmpiricalDifferentialPrivacy:

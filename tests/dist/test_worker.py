@@ -5,14 +5,25 @@ import time
 
 import pytest
 
-from repro.dist import SweepWorker, collect_results
+from repro.dist import SweepSpec, SweepWorker, collect_results, submit_tradeoff_sweep
+from repro.dist.orchestrator import _build_tasks
+from repro.dist.queue import SweepQueue
 from repro.dist.worker import _Heartbeat
 from repro.experiments.checkpoint import SweepCheckpoint
 from repro.experiments.tradeoff import run_tradeoff
 from repro.resilience import FaultPlan, FaultSpec
 from repro.similarity.base import get_measure
 
-from .conftest import EPSILONS, MEASURES, NS, REPEATS, SEED, FakeClock, as_tuples
+from .conftest import (
+    EPSILONS,
+    MEASURES,
+    NS,
+    REPEATS,
+    SEED,
+    FakeClock,
+    as_tuples,
+    tiny_spec,
+)
 
 
 class TestBitExactness:
@@ -175,3 +186,32 @@ class TestHeartbeat:
         queue = queue_factory()
         SweepWorker(queue, dataset=tiny_dataset, max_idle_s=2.0).run()
         assert threading.active_count() == before
+
+
+class TestLegacySpec:
+    def test_queue_with_a_backend_key_still_runs_bit_exact(
+        self, tiny_dataset, baseline, tmp_path
+    ):
+        """A spec.json written with the retired ``backend`` field (as older
+        versions persisted it) loads, and its sweep finishes bit-exact
+        against a queue submitted with a fresh spec."""
+        fresh = tiny_spec(tiny_dataset)
+        legacy = {}
+        for key, value in fresh.to_dict().items():
+            legacy[key] = value
+            if key == "engine":
+                legacy["backend"] = "python"
+        assert SweepSpec.from_dict(legacy) == fresh
+
+        queue = SweepQueue.create(str(tmp_path / "legacy"), legacy, _build_tasks(fresh))
+        assert SweepQueue(queue.root).spec["backend"] == "python"
+        SweepWorker(SweepQueue(queue.root), dataset=tiny_dataset, max_idle_s=2.0).run()
+        legacy_cells = as_tuples(collect_results(queue, dataset=tiny_dataset))
+        # Resubmitting the same sweep re-attaches instead of refusing it.
+        resubmitted = submit_tradeoff_sweep(queue.root, fresh)
+        assert resubmitted.status().done == len(_build_tasks(fresh))
+
+        fresh_queue = submit_tradeoff_sweep(str(tmp_path / "fresh"), fresh)
+        SweepWorker(fresh_queue, dataset=tiny_dataset, max_idle_s=2.0).run()
+        fresh_cells = as_tuples(collect_results(fresh_queue, dataset=tiny_dataset))
+        assert legacy_cells == fresh_cells == baseline

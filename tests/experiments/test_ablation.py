@@ -9,7 +9,10 @@ from repro.experiments.ablation import (
     run_error_decomposition,
     run_refinement_ablation,
 )
+from repro.graph.preference_graph import PreferenceGraph
+from repro.similarity.base import SimilarityCache
 from repro.similarity.common_neighbors import CommonNeighbors
+from repro.similarity.katz import Katz
 from tests.metrics.test_errors import per_call_approximation_error
 
 
@@ -106,10 +109,13 @@ class TestErrorDecomposition:
     def test_shared_averages_match_the_per_call_formula(
         self, lastfm_small, strategies, monkeypatch
     ):
-        def run():
+        """The one-walk-per-row driver reproduces the per-(user, item)
+        formula bit for bit, for CN and for Katz."""
+
+        def run(measure):
             return run_error_decomposition(
                 lastfm_small,
-                CommonNeighbors(),
+                measure,
                 epsilon=0.1,
                 max_users=15,
                 max_items=8,
@@ -117,17 +123,42 @@ class TestErrorDecomposition:
                 seed=0,
             )
 
-        def per_call(row, prefs, clustering, item, averages):
-            return per_call_approximation_error(row, prefs, clustering, item)
+        def per_call(row, prefs, clustering, items, averages):
+            return [
+                per_call_approximation_error(row, prefs, clustering, item)
+                for item in items
+            ]
 
-        rows = run()
-        monkeypatch.setattr(ablation, "_approximation_error", per_call)
-        for fast, slow in zip(rows, run()):
-            assert fast.strategy == slow.strategy
-            assert fast.mean_abs_approximation == pytest.approx(
-                slow.mean_abs_approximation, abs=1e-12
-            )
-            assert fast.mean_expected_perturbation == slow.mean_expected_perturbation
+        measures = (CommonNeighbors(), Katz())
+        fast = [run(measure) for measure in measures]
+        monkeypatch.setattr(ablation, "_approximation_errors", per_call)
+        slow = [run(measure) for measure in measures]
+        assert fast == slow
+
+    def test_driver_walks_each_row_once(self, lastfm_small, strategies, monkeypatch):
+        """No per-(user, item, neighbour) weight lookups: each row is
+        walked once and neighbours contribute through their own edges."""
+        calls = []
+        weight = PreferenceGraph.weight
+
+        def counted(self, user, item):
+            calls.append(1)
+            return weight(self, user, item)
+
+        monkeypatch.setattr(PreferenceGraph, "weight", counted)
+        rows = run_error_decomposition(
+            lastfm_small,
+            CommonNeighbors(),
+            max_users=15,
+            max_items=8,
+            strategies=strategies,
+            seed=0,
+        )
+        assert any(row.mean_abs_approximation > 0 for row in rows)
+        cache = SimilarityCache(CommonNeighbors(), lastfm_small.social)
+        row_entries = sum(len(cache.row(u)) for u in lastfm_small.social.users())
+        assert row_entries > 0
+        assert len(calls) < row_entries
 
     def test_the_tradeoff_is_visible(self, lastfm_small, strategies):
         """Singletons: zero approximation error, huge perturbation error.

@@ -84,8 +84,10 @@ class TestValidation:
             SweepEngine(lastfm_small, chunk_size=0)
 
     def test_bad_backend_rejected(self, lastfm_small):
-        with pytest.raises(ValueError):
-            SweepEngine(lastfm_small, backend="gpu")
+        # One kernel path per measure; the retired backend knob is
+        # refused rather than silently ignored.
+        with pytest.raises(TypeError):
+            SweepEngine(lastfm_small, backend="python")
 
 
 class TestEquivalence:

@@ -9,7 +9,7 @@ from repro.community.clustering import Clustering
 from repro.graph.preference_graph import PreferenceGraph
 from repro.metrics.errors import (
     ErrorDecomposition,
-    _approximation_error,
+    _approximation_errors,
     approximation_error,
     expected_perturbation_error,
 )
@@ -163,12 +163,11 @@ class TestSharedAverages:
         averages = {}
         for user in users:
             row = {v: rnd.random() for v in rnd.sample(users, 12) if v != user}
-            for item in items:
+            shared = _approximation_errors(row, prefs, clustering, items, averages)
+            for item, value in zip(items, shared):
                 expected = per_call_approximation_error(row, prefs, clustering, item)
-                shared = _approximation_error(row, prefs, clustering, item, averages)
-                alone = approximation_error(row, prefs, clustering, item)
-                assert shared == pytest.approx(expected, abs=1e-12)
-                assert alone == pytest.approx(expected, abs=1e-12)
+                assert value == expected
+                assert approximation_error(row, prefs, clustering, item) == expected
         assert set(averages) <= {
             (c, item) for c in range(clustering.num_clusters) for item in items
         }

@@ -15,10 +15,9 @@ from repro.obs import (
 
 
 def _compute_stats():
-    stats = ComputeStats(requested="auto", backend="vectorized", measure="cn")
+    stats = ComputeStats(backend="vectorized", measure="cn")
     stats.blocks = 4
     stats.workers = 2
-    stats.fallbacks = 1
     stats.add_stage("adjacency", 0.125)
     stats.add_stage("blocks", 0.5)
     stats.finish(rows=100, nnz=4321, total_seconds=0.25)

@@ -1,9 +1,9 @@
-"""Property tests: the vectorised compute backend equals the reference.
+"""Property tests: the vectorised compute path equals the reference.
 
 Two independent implementations guard each other — the per-user python
-rows/partitions are the semantic ground truth, and the CSR/flat-array
-backend must reproduce them (rows within 1e-9, partitions exactly) on
-arbitrary graphs, not just the fixtures.
+rows and the dict Louvain oracle are the semantic ground truth, and the
+CSR/flat-array code must reproduce them (rows within 1e-9, partitions
+exactly) on arbitrary graphs, not just the fixtures.
 """
 
 import random
@@ -13,22 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.community.louvain import (
-    _PythonBackend,
-    _VectorizedBackend,
-    best_louvain_clustering,
-    louvain,
-)
+from repro.community.louvain import _FlatGraph, best_louvain_clustering, louvain
 from repro.compute.kernels import build_kernel
 from repro.graph.bigcsr import bigcsr_from_social_graph
 from repro.graph.generators import planted_partition_graph
 from repro.graph.social_graph import SocialGraph
-from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.similarity.adamic_adar import AdamicAdar
 from repro.similarity.common_neighbors import CommonNeighbors
 from repro.similarity.graph_distance import GraphDistance
 from repro.similarity.katz import Katz
 from repro.similarity.neighborhood import ResourceAllocation
+
+from tests.oracles.louvain_dict import dict_best_louvain, dict_louvain
 
 from .strategies import social_graphs
 
@@ -48,7 +44,7 @@ class TestKernelEquivalence:
     @given(graph=social_graphs())
     @settings(max_examples=20, deadline=None)
     def test_rows_match_python_measure(self, graph, measure):
-        kernel = build_kernel(graph, measure, backend="vectorized")
+        kernel = build_kernel(graph, measure)
         for user in graph.users():
             expected = measure.similarity_row(graph, user)
             actual = kernel.row(user)
@@ -59,15 +55,8 @@ class TestKernelEquivalence:
     @given(graph=social_graphs(), block_size=st.integers(1, 8))
     @settings(max_examples=15, deadline=None)
     def test_block_size_never_changes_the_kernel(self, graph, block_size):
-        reference = build_kernel(
-            graph, CommonNeighbors(), backend="vectorized"
-        )
-        blocked = build_kernel(
-            graph,
-            CommonNeighbors(),
-            backend="vectorized",
-            block_size=block_size,
-        )
+        reference = build_kernel(graph, CommonNeighbors())
+        blocked = build_kernel(graph, CommonNeighbors(), block_size=block_size)
         assert (blocked.matrix != reference.matrix).nnz == 0
 
 
@@ -76,10 +65,8 @@ class TestLouvainEquivalence:
            seed=st.integers(0, 2**16))
     @settings(max_examples=25, deadline=None)
     def test_identical_partitions(self, graph, seed):
-        ref = louvain(graph, np.random.default_rng(seed), backend="python")
-        vec = louvain(
-            graph, np.random.default_rng(seed), backend="vectorized"
-        )
+        ref = dict_louvain(graph, np.random.default_rng(seed))
+        vec = louvain(graph, np.random.default_rng(seed))
         assert vec.clustering.assignment() == ref.clustering.assignment()
         assert vec.modularity == ref.modularity
         assert vec.num_levels == ref.num_levels
@@ -122,48 +109,22 @@ class TestLouvainEquivalence:
     def test_best_of_runs_converts_the_graph_once(self, monkeypatch):
         rng = np.random.default_rng(1)
         graph = planted_partition_graph([10, 10, 10], 0.4, 0.05, rng)
-        calls = {"vectorized": 0, "python": 0}
-        for backend in (_VectorizedBackend, _PythonBackend):
-            convert = backend.from_social
-
-            def counted(g, _convert=convert, _name=backend.name):
-                calls[_name] += 1
-                return _convert(g)
-
-            monkeypatch.setattr(backend, "from_social", staticmethod(counted))
-        best_louvain_clustering(graph, runs=10, seed=0)
-        assert calls == {"vectorized": 1, "python": 0}
-        best_louvain_clustering(graph, runs=10, seed=0, backend="python")
-        assert calls == {"vectorized": 1, "python": 1}
-
-    @pytest.mark.faults
-    def test_fallback_on_one_restart_keeps_the_best(self, monkeypatch):
-        rng = np.random.default_rng(4)
-        graph = planted_partition_graph([12, 12, 12, 12], 0.35, 0.05, rng)
-        expected = best_louvain_clustering(graph, runs=4, seed=6, backend="python")
         conversions = []
-        convert = _PythonBackend.from_social
+        convert = _FlatGraph.from_social_graph
 
         def counted(g):
             conversions.append(g)
             return convert(g)
 
-        monkeypatch.setattr(_PythonBackend, "from_social", staticmethod(counted))
-        plan = FaultPlan([FaultSpec(site="compute.louvain", on_call=2)])
-        with plan.installed():
-            degraded = best_louvain_clustering(graph, runs=4, seed=6, backend="auto")
-        assert plan.calls_to("compute.louvain") == 4
-        assert plan.fired == ["compute.louvain#2:raise"]
-        assert len(conversions) == 1  # only the restart that fell back
-        assert degraded.clustering.assignment() == expected.clustering.assignment()
-        assert degraded.modularity == expected.modularity
-        assert degraded.num_levels == expected.num_levels
+        monkeypatch.setattr(_FlatGraph, "from_social_graph", staticmethod(counted))
+        best_louvain_clustering(graph, runs=10, seed=0)
+        assert conversions == [graph]
 
 
 def _assert_same_best(graph, seed):
-    """Best-of-3 on both backends: same partition, modularity and levels."""
-    ref = best_louvain_clustering(graph, runs=3, seed=seed, backend="python")
-    vec = best_louvain_clustering(graph, runs=3, seed=seed, backend="vectorized")
+    """Best-of-3 flat vs dict oracle: same partition, modularity and levels."""
+    ref = dict_best_louvain(graph, runs=3, seed=seed)
+    vec = best_louvain_clustering(graph, runs=3, seed=seed)
     assert vec.clustering.assignment() == ref.clustering.assignment()
     assert vec.modularity == ref.modularity
     assert vec.num_levels == ref.num_levels

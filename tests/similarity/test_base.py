@@ -54,11 +54,13 @@ class TestSimilarityCache:
         calls = []
 
         class Counting(CommonNeighbors):
+            name = "counting"  # no vectorised builder: rows come one by one
+
             def similarity_row(self, graph, user):
                 calls.append(user)
                 return super().similarity_row(graph, user)
 
-        cache = SimilarityCache(Counting(), triangle_graph, backend="python")
+        cache = SimilarityCache(Counting(), triangle_graph)
         cache.row(1)
         cache.row(1)
         assert calls == [1]
@@ -74,7 +76,9 @@ class TestSimilarityCache:
         assert len(cache) == 3
 
     def test_precompute_subset(self, triangle_graph):
-        cache = SimilarityCache(CommonNeighbors(), triangle_graph, backend="python")
+        from repro.similarity.neighborhood import Jaccard
+
+        cache = SimilarityCache(Jaccard(), triangle_graph)
         cache.precompute([1])
         assert len(cache) == 1
 
@@ -87,16 +91,15 @@ class TestSimilarityCache:
 
 class TestCacheBackends:
     def test_unknown_backend_rejected(self, triangle_graph):
-        with pytest.raises(ValueError):
-            SimilarityCache(CommonNeighbors(), triangle_graph, backend="gpu")
+        # Rows are materialised by the one path the measure selects; the
+        # retired backend knob is refused rather than silently ignored.
+        with pytest.raises(TypeError):
+            SimilarityCache(CommonNeighbors(), triangle_graph, backend="python")
 
     def test_vectorized_rows_match_python(self, two_communities_graph):
-        python = SimilarityCache(AdamicAdar(), two_communities_graph)
-        vectorized = SimilarityCache(
-            AdamicAdar(), two_communities_graph, backend="vectorized"
-        )
+        vectorized = SimilarityCache(AdamicAdar(), two_communities_graph)
         for user in two_communities_graph.users():
-            expected = python.row(user)
+            expected = AdamicAdar().similarity_row(two_communities_graph, user)
             actual = vectorized.row(user)
             assert set(actual) == set(expected)
             for other, score in expected.items():
@@ -110,15 +113,13 @@ class TestCacheBackends:
                 calls.append(user)
                 return super().similarity_row(graph, user)
 
-        cache = SimilarityCache(Counting(), triangle_graph, backend="vectorized")
+        cache = SimilarityCache(Counting(), triangle_graph)
         cache.row(1)
         assert calls == []
         assert len(cache) == 3
 
     def test_precompute_records_compute_stats(self, triangle_graph):
-        cache = SimilarityCache(
-            CommonNeighbors(), triangle_graph, backend="vectorized"
-        )
+        cache = SimilarityCache(CommonNeighbors(), triangle_graph)
         assert cache.last_compute_stats is None
         cache.precompute()
         stats = cache.last_compute_stats
@@ -127,32 +128,46 @@ class TestCacheBackends:
         assert stats.rows == 3
 
     def test_default_backend_is_auto(self, triangle_graph):
-        cache = SimilarityCache(CommonNeighbors(), triangle_graph)
-        assert cache.backend == "auto"
+        """The path follows the measure: a kernel build for measures with
+        a vectorised builder, per-row python rows for the rest."""
+        from repro.similarity.neighborhood import Jaccard
+
+        vectorised = SimilarityCache(CommonNeighbors(), triangle_graph)
+        vectorised.row(1)
+        assert vectorised.last_compute_stats.backend == "vectorized"
+        per_row = SimilarityCache(Jaccard(), triangle_graph)
+        per_row.row(1)
+        assert per_row.last_compute_stats is None
+        assert len(per_row) == 1
 
     def test_precompute_backend_override(self, triangle_graph):
-        cache = SimilarityCache(CommonNeighbors(), triangle_graph, backend="python")
-        assert cache.backend == "python"
-        cache.precompute(backend="vectorized")
+        # The per-call override is retired with the knob: refused, not
+        # silently ignored.
+        cache = SimilarityCache(CommonNeighbors(), triangle_graph)
+        with pytest.raises(TypeError):
+            cache.precompute(backend="python")
+        cache.precompute()
         assert cache.last_compute_stats.backend == "vectorized"
         assert len(cache) == 3
 
     def test_auto_backend_degrades_for_unsupported_measure(self, triangle_graph):
         from repro.similarity.neighborhood import Jaccard
 
-        cache = SimilarityCache(Jaccard(), triangle_graph, backend="auto")
+        cache = SimilarityCache(Jaccard(), triangle_graph)
         assert cache.row(1) == Jaccard().similarity_row(triangle_graph, 1)
 
     def test_similarity_set_drops_zero_scores(self, triangle_graph):
         class WithZeros(CommonNeighbors):
+            # A custom row override must rename the measure, or the "cn"
+            # builder would legitimately vectorise past it.
+            name = "with-zeros"
+
             def similarity_row(self, graph, user):
                 row = dict(super().similarity_row(graph, user))
                 row["phantom"] = 0.0
                 return row
 
-        # Force the python path: the custom row override keeps the "cn"
-        # registry name, so "auto" would legitimately vectorise past it.
-        cache = SimilarityCache(WithZeros(), triangle_graph, backend="python")
+        cache = SimilarityCache(WithZeros(), triangle_graph)
         assert "phantom" in cache.row(1)
         assert cache.similarity_set(1) == frozenset({2, 3})
 

@@ -28,7 +28,22 @@ class TestParser:
         assert args.engine == "vectorized"
         assert args.workers is None
         assert args.cache_dir is None
-        assert args.backend == "auto"
+        assert not hasattr(args, "backend")
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["batch"],
+            ["cache", "warm", "--cache-dir", "x"],
+            ["tradeoff"],
+            ["sweep", "submit", "--queue", "q"],
+            ["attack", "audit"],
+        ],
+    )
+    def test_backend_flag_is_gone(self, command, capsys):
+        build_parser().parse_args(command)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--backend", "python"])
 
     def test_tradeoff_rejects_unknown_engine(self, capsys):
         with pytest.raises(SystemExit):
@@ -51,7 +66,7 @@ class TestParser:
         assert args.eps == [0.1, 0.5, 1.0, 2.0]
         assert args.target == ["private", "nou", "noe"]
         assert args.trials == 1000
-        assert args.backend == "auto"
+        assert not hasattr(args, "backend")
         assert args.json is None
         assert not args.strict
 
